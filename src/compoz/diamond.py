@@ -21,6 +21,7 @@ from .ff import (
     Embedding,
     FieldElement,
     Polynomial,
+    _orbit,
     degree_over_base,
     extension_field,
     find_root,
@@ -208,14 +209,8 @@ class RootPair:
         self.ctx = ctx
         self.alpha = alpha
         self.beta = beta
-        alphas = [alpha.raw]
-        for _ in range(1, self.m):
-            alphas.append(ctx._frob(alphas[-1], 1))
-        betas = [beta.raw]
-        for _ in range(1, self.n):
-            betas.append(ctx._frob(betas[-1], 1))
-        self.alphas = tuple(alphas)
-        self.betas = tuple(betas)
+        self.alphas = tuple(_orbit(ctx, alpha.raw))
+        self.betas = tuple(_orbit(ctx, beta.raw))
 
     @classmethod
     def build(cls, f, g, *, ctx=None, seed=DEFAULT_SEED):
@@ -533,12 +528,6 @@ def intermediate_factorization(f, g, spec, k, l, *, pair=None, seed=DEFAULT_SEED
 def _cached_embedding(small, big, seed):
     # contexts compare structurally, so rebuilt-but-identical towers hit
     return Embedding.find(small, big, seed=seed)
-
-
-def orbit_value_table(bd):
-    """The values at the orbit representatives (0, j), j < gcd(m, n)."""
-    g_ = math.gcd(bd.pair.m, bd.pair.n)
-    return tuple(bd.value(0, j) for j in range(g_))
 
 
 def table_spec_from_phi(phi, pair):

@@ -38,9 +38,6 @@ from .linalg import LinearSolver
 
 DEFAULT_SEED = 0
 
-# Exhaustive root scan below this field size, gcd-based splitting above.
-_ROOT_SCAN_LIMIT = 1 << 16
-
 _COORD_SEPS = ("/", ":")
 
 
@@ -70,6 +67,23 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def _is_prime_power(n):
+    """Whether n = p^e for a prime p and some e >= 1, by exact integer roots."""
+    if n < 2:
+        return False
+    for e in range(1, n.bit_length()):
+        # Newton's iteration from above converges to floor(n^(1/e))
+        r = 1 << -(-n.bit_length() // e)
+        while True:
+            s = ((e - 1) * r + n // r ** (e - 1)) // e
+            if s >= r:
+                break
+            r = s
+        if r**e == n and _is_prime(r):
+            return True
+    return False
 
 
 def distinct_prime_factors(n):
@@ -1007,17 +1021,19 @@ def frobenius(a, k=1):
     return a.frobenius(k)
 
 
+def _orbit(ctx, raw):
+    """The distinct conjugates raw, raw^q, raw^(q^2), ... over the next-lower field."""
+    conjs = [raw]
+    b = ctx._frob(raw, 1)
+    while b != raw:
+        conjs.append(b)
+        b = ctx._frob(b, 1)
+    return conjs
+
+
 def degree_over_base(a):
     """Smallest r with a^(q^r) = a; the degree of GF(q)(a) over GF(q)."""
-    ctx = a.ctx
-    if ctx.lower is None:
-        return 1
-    r = 1
-    b = ctx._frob(a.raw, 1)
-    while b != a.raw:
-        b = ctx._frob(b, 1)
-        r += 1
-    return r
+    return len(_orbit(a.ctx, a.raw))
 
 
 def minimal_polynomial(a):
@@ -1025,16 +1041,10 @@ def minimal_polynomial(a):
     ctx = a.ctx
     if ctx.lower is None:
         return Polynomial._wrap(ctx, (ctx._neg(a.raw), ctx._one_raw))
-    base = ctx.lower
-    conjs = [a.raw]
-    b = ctx._frob(a.raw, 1)
-    while b != a.raw:
-        conjs.append(b)
-        b = ctx._frob(b, 1)
     poly = (ctx._one_raw,)
-    for c in conjs:
+    for c in _orbit(ctx, a.raw):
         poly = _pmul(ctx, poly, (ctx._neg(c), ctx._one_raw))
-    return Polynomial._wrap(base, tuple(ctx._to_base_raw(c) for c in poly))
+    return Polynomial._wrap(ctx.lower, tuple(ctx._to_base_raw(c) for c in poly))
 
 
 def is_irreducible(f):
@@ -1106,11 +1116,13 @@ def project_poly_to_base(f):
 
 
 def find_root(f, ext, *, seed=DEFAULT_SEED):
-    """One root of f in the extension field ext.
+    """The root of f in the extension field ext with the smallest to_int index.
 
     f must be monic irreducible over ext's base field with degree dividing
-    ext's degree.  Small fields are scanned in canonical order; larger ones
-    use seeded gcd-based splitting.  Deterministic for a fixed seed.
+    ext's degree.  Seeded gcd splitting (Cantor-Zassenhaus) isolates one
+    root; the smallest-index member of its conjugate orbit, which holds
+    every root of f, is returned.  The result therefore does not depend on
+    seed, which only steers the random splits and so the running time.
     """
     base = f.ctx
     if ext.lower is None or ext.lower != base:
@@ -1122,22 +1134,6 @@ def find_root(f, ext, *, seed=DEFAULT_SEED):
         raise ValueError(f"degree {m} does not divide extension degree {ext.degree}")
     if not is_irreducible(f):
         raise ValueError("polynomial is reducible")
-    if m == 1:
-        return ext.from_base(FieldElement._wrap(base, base._neg(f.coeffs[0])))
-    if ext.order <= _ROOT_SCAN_LIMIT:
-        fc = f.coeffs
-        z = ext._zero_raw
-        zl = base._zero_raw
-        for i in range(ext.order):
-            cand = ext._nth(i)
-            acc = z
-            for c in reversed(fc):
-                acc = ext._mul(acc, cand)
-                if c != zl:
-                    acc = ext._add(acc, ext._from_base_raw(c))
-            if acc == z:
-                return FieldElement._wrap(ext, cand)
-        raise RuntimeError("no root found; irreducibility bookkeeping is broken")
     rng = random.Random(seed)
     Q = ext.order
     h = embed_poly_from_base(f, ext)
@@ -1158,7 +1154,8 @@ def find_root(f, ext, *, seed=DEFAULT_SEED):
         d = g.degree
         if d is not None and 0 < d < h.degree:
             h = g
-    return -h.coefficient(0)
+    root = (-h.coefficient(0)).raw
+    return FieldElement._wrap(ext, min(_orbit(ext, root), key=ext._to_int))
 
 
 class Embedding:

@@ -24,6 +24,8 @@ from .ff import (
     Embedding,
     FieldElement,
     Polynomial,
+    _is_prime_power,
+    _orbit,
     degree_over_base,
     distinct_prime_factors,
     extension_field,
@@ -69,52 +71,22 @@ class QPolynomial:
         return FieldElement._wrap(ext, acc)
 
 
-def row_qpolys(phi):
-    """The chi_i of a linearized phi as q-polynomials in Y."""
-    if phi.basis != LINEARIZED:
-        raise ValueError("expected a linearized-basis phi")
-    return tuple(QPolynomial.build(phi.ctx, row) for row in phi.rows)
-
-
-def col_qpolys(phi):
-    """The psi_j of a linearized phi as q-polynomials in X."""
-    if phi.basis != LINEARIZED:
-        raise ValueError("expected a linearized-basis phi")
-    return tuple(
-        QPolynomial.build(phi.ctx, [r[j] for r in phi.rows]) for j in range(phi.n)
-    )
-
-
 # -- normality ----------------------------------------------------------------
 
 
-def is_normal(gamma):
-    """Whether the context-degree many conjugates of gamma are independent.
+def is_normal(gamma, degree=None):
+    """Whether gamma is a normal element of the degree-`degree` subfield.
 
-    Elements of degree below the context degree repeat a conjugate and are
-    never normal.
+    degree defaults to the context degree.  Normal means gamma has exactly
+    `degree` distinct conjugates and they are independent over the base, so
+    an element of any other degree is never normal.
     """
     ctx = gamma.ctx
     if ctx.lower is None:
         raise ValueError("normality is relative to an extension field")
-    m = ctx.degree
-    rows = []
-    raw = gamma.raw
-    for _ in range(m):
-        rows.append(raw)
-        raw = ctx._frob(raw, 1)
-    return linalg.mat_rank(ctx.lower, tuple(rows)) == m
-
-
-def _normal_in_own_subfield(gamma, r):
-    # gamma generates a degree-r subfield; its r conjugates must be independent
-    ctx = gamma.ctx
-    rows = []
-    raw = gamma.raw
-    for _ in range(r):
-        rows.append(raw)
-        raw = ctx._frob(raw, 1)
-    return linalg.mat_rank(ctx.lower, tuple(rows)) == r
+    r = ctx.degree if degree is None else degree
+    conjs = _orbit(ctx, gamma.raw)
+    return len(conjs) == r and linalg.mat_rank(ctx.lower, tuple(conjs)) == r
 
 
 def random_normal_element(ctx, *, rng=None, seed=DEFAULT_SEED):
@@ -251,9 +223,9 @@ def _check_normal_pair(alpha, beta, m, n):
         raise ContextMismatchError("the pair must live in one context")
     if degree_over_base(alpha) != m or degree_over_base(beta) != n:
         raise ValueError("pair degrees do not match the matrix dimensions")
-    if not _normal_in_own_subfield(alpha, m):
+    if not is_normal(alpha, m):
         raise ValueError("first argument is not normal in its subfield")
-    if not _normal_in_own_subfield(beta, n):
+    if not is_normal(beta, n):
         raise ValueError("second argument is not normal in its subfield")
 
 
@@ -281,6 +253,8 @@ class TwistedParams:
     d: int = 0
 
     def __post_init__(self):
+        if not _is_prime_power(self.q):
+            raise ValueError(f"q = {self.q} is not a prime power")
         if self.sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
         if math.gcd(self.m, self.n) != 1:

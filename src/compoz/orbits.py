@@ -11,21 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-
-def _factorize(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+from .ff import _is_prime, distinct_prime_factors
 
 
 def divisors(n):
@@ -33,8 +19,8 @@ def divisors(n):
     if n < 1:
         raise ValueError("n must be >= 1")
     out = [1]
-    for p, e in _factorize(n):
-        out = [d * p**k for d in out for k in range(e + 1)]
+    for p in distinct_prime_factors(n):
+        out = [d * p**k for d in out for k in range(nu_p(p, n) + 1)]
     return sorted(out)
 
 
@@ -42,7 +28,7 @@ def nu_p(p, a):
     """The exact p-adic valuation of a: p^v | a and p^(v+1) does not."""
     if a < 1:
         raise ValueError("a must be >= 1")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     v = 0
     while a % p == 0:
@@ -132,7 +118,7 @@ def coprime_decomposition(m, n):
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     o = m1 = n1 = 1
-    primes = {p for p, _ in _factorize(m)} | {p for p, _ in _factorize(n)}
+    primes = set(distinct_prime_factors(m)) | set(distinct_prime_factors(n))
     for p in primes:
         vm = nu_p(p, m)
         vn = nu_p(p, n)

@@ -154,6 +154,11 @@ def test_usage_errors(capsys):
         capsys, "compose", *WORKED, "--phi", "2 4 3 monomial;0;0;0;0"
     )
     assert code == 2
+    for q in ("6", "1", "-3"):
+        code, out, err = run(
+            capsys, "twisted", "--q", q, "--m", "3", "--n", "5", "--k", "1", "--l", "2"
+        )
+        assert code == 2 and out == "" and "not a prime power" in err
 
 
 def test_element_text_via_extension_field(capsys):

@@ -136,17 +136,39 @@ def test_find_root_linear(F3):
     assert r == ctx.from_base(F3.element(2))
 
 
-def test_find_root_scan(F2):
-    ctx = cz.extension_field(F2, 6, seed=0)
-    f = cz.poly_from_text(F2, "1,1,1")
-    rho = cz.find_root(f, ctx)
-    assert (rho * rho + rho + 1).is_zero
-    conjugates = {rho, rho.frobenius(1)}
-    assert len(conjugates) == 2
+@pytest.mark.parametrize(
+    "base_spec, degree, f_degree, small",
+    [
+        pytest.param("2", 6, 2, True, id="gf2_6"),
+        pytest.param("3", 4, 2, True, id="gf3_4"),
+        pytest.param("2^2:1,1,1", 3, 3, True, id="gf4_3"),
+        pytest.param("3", 12, 4, False, id="gf3_12"),
+        pytest.param("2", 20, 5, False, id="gf2_20"),
+    ],
+)
+def test_find_root_smallest_conjugate(base_spec, degree, f_degree, small):
+    # the root is the smallest-index conjugate whatever seed drives the splits
+    base = cz.parse_field_spec(base_spec)
+    ctx = cz.extension_field(base, degree, seed=0)
+    f = cz.random_irreducible(base, f_degree, seed=1)
+    roots = [cz.find_root(f, ctx, seed=s) for s in (0, 1, 7)]
+    rho = roots[0]
+    assert evaluate_in_extension(f, rho).is_zero
+    conjugates = {rho.frobenius(k) for k in range(f_degree)}
+    assert len(conjugates) == f_degree
+    smallest = min(conjugates, key=lambda x: x.to_int())
+    assert roots == [smallest] * 3
+    if small:
+        # reference: the first root in canonical order, by brute force
+        scan = next(
+            x for x in map(ctx.nth_element, range(ctx.order))
+            if evaluate_in_extension(f, x).is_zero
+        )
+        assert rho == scan
 
 
 def test_find_root_split_path(F3):
-    # GF(3^12) is past the scan limit, so this exercises the gcd splitting
+    # GF(3^12) has more than 2^16 elements; isolating a root takes several splits
     ctx = cz.extension_field(F3, 12, seed=0)
     assert ctx.order > 1 << 16
     f = cz.poly_from_text(F3, "2,0,1,0,1")
@@ -158,7 +180,7 @@ def test_find_root_split_path(F3):
 
 
 def test_find_root_split_path_even_characteristic(F2):
-    # GF(2^20) is past the scan limit; splitting uses the trace map there
+    # GF(2^20) has more than 2^16 elements; splitting uses the trace map there
     ctx = cz.extension_field(F2, 20, seed=0)
     assert ctx.order > 1 << 16
     f = cz.random_irreducible(F2, 4, seed=1)

@@ -243,6 +243,12 @@ def test_twisted_params_validation():
         cz.TwistedParams(q=3, m=2, n=4, k=0, l=0)
     with pytest.raises(ValueError):
         cz.TwistedParams(q=3, m=2, n=3, k=2, l=0)
+    # q = (2^61 - 1)^2 and 3 (2^61 - 1) would take ~2^30 trial divisions each
+    for q in (0, 12, 3 * (2**61 - 1)):
+        with pytest.raises(ValueError, match="not a prime power"):
+            cz.TwistedParams(q=q, m=3, n=5, k=1, l=2)
+    for q in (4, 9, (2**61 - 1) ** 2):
+        cz.TwistedParams(q=q, m=3, n=5, k=1, l=2)
     with pytest.raises(ValueError):
         cz.TwistedParams(q=3, m=2, n=3, k=0, l=0, sign="x")
 
