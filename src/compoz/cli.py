@@ -54,6 +54,12 @@ from .linearized import (
 )
 
 
+# Largest field order q^lcm(m, n) that compose, check-cc and factor accept.
+# lcm(m, n) = 100 over GF(3) (about 2^159) stays well inside; larger inputs
+# would build fields whose root finding runs without practical bound.
+MAX_FIELD_ORDER = 2**256
+
+
 def _read_arg(value):
     """Inline string or, when it names an existing file, the file's content."""
     if "\n" not in value and ";" not in value and os.path.exists(value):
@@ -70,6 +76,27 @@ def _load_phi(ctx, value):
     return PhiPoly.from_text(ctx, _read_arg(value))
 
 
+def _load_instance(args):
+    """Base field, f, g and phi of a compose / check-cc / factor run.
+
+    The size cap is checked as soon as f and g are known, before any
+    extension field is built.
+    """
+    base = parse_field_spec(args.q)
+    f = _load_poly(base, args.f)
+    g = _load_poly(base, args.g)
+    if f.degree and g.degree:
+        lcm = math.lcm(f.degree, g.degree)
+        cap_bits = MAX_FIELD_ORDER.bit_length() - 1
+        # q >= 2, so lcm > cap_bits exceeds the cap without forming q^lcm
+        if lcm > cap_bits or base.order**lcm > MAX_FIELD_ORDER:
+            raise ValueError(
+                f"GF({base.order}^{lcm}) exceeds the field size cap 2^{cap_bits} "
+                "on q^lcm(m, n), f of degree m and g of degree n"
+            )
+    return base, f, g, _load_phi(base, args.phi)
+
+
 def _emit(args, doc, text_lines):
     if args.format == "structured":
         print(json.dumps(doc, sort_keys=True))
@@ -79,10 +106,7 @@ def _emit(args, doc, text_lines):
 
 
 def _cmd_compose(args):
-    base = parse_field_spec(args.q)
-    f = _load_poly(base, args.f)
-    g = _load_poly(base, args.g)
-    phi = _load_phi(base, args.phi)
+    base, f, g, phi = _load_instance(args)
     pair = RootPair.build(f, g, seed=args.seed)
     product = DiamondSpec.from_phi(phi).bind(pair).composed()
     irreducible = is_irreducible(product)
@@ -115,10 +139,7 @@ def _applicable_routes(route, phi, m, n):
 
 
 def _cmd_check_cc(args):
-    base = parse_field_spec(args.q)
-    f = _load_poly(base, args.f)
-    g = _load_poly(base, args.g)
-    phi = _load_phi(base, args.phi)
+    base, f, g, phi = _load_instance(args)
     m, n = f.degree, g.degree
     pair = RootPair.build(f, g, seed=args.seed)
     spec = DiamondSpec.from_phi(phi)
@@ -167,10 +188,7 @@ def _cmd_check_cc(args):
 
 
 def _cmd_factor(args):
-    base = parse_field_spec(args.q)
-    f = _load_poly(base, args.f)
-    g = _load_poly(base, args.g)
-    phi = _load_phi(base, args.phi)
+    base, f, g, phi = _load_instance(args)
     report = factor_report(f, g, DiamondSpec.from_phi(phi), seed=args.seed)
     doc = report.to_doc()
     lines = [

@@ -52,22 +52,27 @@ class PhiPoly:
 
     @classmethod
     def build(cls, ctx, rows, basis=MONOMIAL):
+        return cls._from_raw(
+            ctx, tuple(tuple(ctx._coerce(c) for c in row) for row in rows), basis
+        )
+
+    @classmethod
+    def _from_raw(cls, ctx, rows, basis):
         if basis not in (MONOMIAL, LINEARIZED):
             raise ValueError(f"unknown basis {basis!r}")
-        coerced = tuple(tuple(ctx._coerce(c) for c in row) for row in rows)
-        if not coerced or not coerced[0]:
+        if not rows or not rows[0]:
             raise ValueError("coefficient matrix must be non-empty")
-        width = len(coerced[0])
-        if any(len(r) != width for r in coerced):
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
             raise ValueError("ragged coefficient matrix")
-        return cls(ctx=ctx, rows=coerced, basis=basis)
+        return cls(ctx=ctx, rows=rows, basis=basis)
 
     @classmethod
     def random(cls, ctx, m, n, rng, basis=MONOMIAL):
         rows = tuple(
             tuple(ctx._random_raw(rng) for _ in range(n)) for _ in range(m)
         )
-        return cls.build(ctx, rows, basis)
+        return cls._from_raw(ctx, rows, basis)
 
     @property
     def m(self):
@@ -81,13 +86,13 @@ class PhiPoly:
         """chi_i as a univariate polynomial (monomial basis only)."""
         if self.basis != MONOMIAL:
             raise ValueError("row_poly reads the monomial basis")
-        return Polynomial(self.ctx, self.rows[i])
+        return Polynomial._from_raw(self.ctx, self.rows[i])
 
     def col_poly(self, j):
         """psi_j as a univariate polynomial (monomial basis only)."""
         if self.basis != MONOMIAL:
             raise ValueError("col_poly reads the monomial basis")
-        return Polynomial(self.ctx, tuple(r[j] for r in self.rows))
+        return Polynomial._from_raw(self.ctx, tuple(r[j] for r in self.rows))
 
     def matrix(self):
         return self.rows
@@ -155,7 +160,7 @@ class PhiPoly:
             if len(parts) != n:
                 raise ValueError(f"expected {n} entries per row, got {len(parts)}")
             rows.append(tuple(_raw_from_text(ctx, p, 1) for p in parts))
-        return cls.build(ctx, rows, basis)
+        return cls._from_raw(ctx, tuple(rows), basis)
 
 
 @dataclass(frozen=True)
@@ -176,8 +181,8 @@ def rank_decomposition(phi):
     """
     ctx = phi.ctx
     r, left, right = linalg.rank_factorization(ctx, phi.rows)
-    us = tuple(Polynomial(ctx, tuple(row[s] for row in left)) for s in range(r))
-    vs = tuple(Polynomial(ctx, right[s]) for s in range(r))
+    us = tuple(Polynomial._from_raw(ctx, tuple(row[s] for row in left)) for s in range(r))
+    vs = tuple(Polynomial._from_raw(ctx, right[s]) for s in range(r))
     rebuilt = [
         [ctx._zero_raw for _ in range(phi.n)] for _ in range(phi.m)
     ]

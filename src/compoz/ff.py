@@ -9,7 +9,25 @@ FieldContext.flatten).
 Raw value representation (internal):
 
   * prime level: int in [0, p)
-  * extension level: tuple of lower-level raw values, fixed length = degree
+  * depth 1, GF(p^k) = GF(p)[X]/(f): one non-negative int.  Coordinate i
+    (the coefficient of X^i, in [0, p)) sits in bits [w*i, w*(i+1)), with
+    the slot width w fixed per context so that no value formed before a
+    reduction, at most a product column k(p-1)^2 plus a small term, carries
+    into the next slot.  Addition is one integer add, multiplication one
+    big-int product (Kronecker substitution; Harvey, J. Symb. Comput. 44,
+    2009); each is followed by a slot-wise reduction mod p in a constant
+    number of big-int operations, and a product also by a Barrett
+    reduction mod f.  Inversion is extended Euclid on packed polynomials.
+    Every p runs the same code; p only changes the constants.
+  * depth 2: tuple of depth-1 raws, fixed length = degree
+
+FieldContext._pack and _unpack are the only code that converts between a
+raw value and its coordinates (text formats, coords(), the canonical index
+of _nth / _to_int, embeddings, flattening and linear algebra over the
+coordinates all go through them).  Since a raw int of a depth-1 context
+is not the integer it looks like, internal code builds elements and
+polynomials from raw values with FieldElement._wrap / Polynomial._from_raw,
+never through the coercing constructors.
 
 Public code works with the FieldElement and Polynomial wrappers; the raw
 layer keeps the inner loops allocation-light.  Polynomial coefficients are
@@ -257,7 +275,10 @@ class FieldContext:
     """A prime field GF(p) or an extension of a lower context.
 
     Instances are immutable and hashable; equality is structural.  Use
-    prime_field() and FieldContext.extension() to build them.
+    prime_field() and FieldContext.extension() to build them.  A context
+    built directly may have a reducible monic modulus: it is then the
+    quotient ring lower[X]/(modulus), whose raw arithmetic works except
+    that _inv fails on non-units.
     """
 
     __slots__ = (
@@ -268,40 +289,85 @@ class FieldContext:
         "order",
         "subfield_order",
         "depth",
-        "_mod_body",
         "_zero_raw",
         "_one_raw",
         "_hash",
-        "_frob_table",
         "_flat",
+        "_frob_tables",
+        # packed kernel of a depth-1 context (see the module docstring)
+        "_w",
+        "_red_mul",
+        "_red_shift",
+        "_red_mask",
+        "_p_slots",
+        "_low",
+        "_hi_shift",
+        "_q_shift",
+        "_mu",
+        "_xk",
+        "_packed_mod",
     )
 
     def __init__(self, p, lower=None, modulus=None):
         self.p = p
         self.lower = lower
         self.modulus = modulus
+        self._hash = hash((p, modulus, lower))
+        self._flat = None
+        self._frob_tables = {}
+        self._zero_raw = 0
+        self._one_raw = 1 % p
         if lower is None:
             self.degree = 1
             self.order = p
             self.subfield_order = p
             self.depth = 0
-            self._mod_body = None
-            self._zero_raw = 0
-            self._one_raw = 1 % p
+            return
+        d = len(modulus) - 1
+        self.degree = d
+        self.order = lower.order ** d
+        self.subfield_order = lower.order
+        self.depth = lower.depth + 1
+        if self.depth == 1:
+            self._init_kernel()  # packed zero and one are the ints 0 and 1
         else:
-            d = len(modulus) - 1
-            self.degree = d
-            self.order = lower.order ** d
-            self.subfield_order = lower.order
-            self.depth = lower.depth + 1
-            self._mod_body = modulus[:-1]
-            self._zero_raw = (lower._zero_raw,) * d
-            one = [lower._zero_raw] * d
-            one[0] = lower._one_raw
-            self._one_raw = tuple(one)
-        self._hash = hash((p, modulus, lower))
-        self._frob_table = None
-        self._flat = None
+            self._zero_raw = self._pack(())
+            self._one_raw = self._pack((lower._one_raw,))
+
+    def _init_kernel(self):
+        p, k = self.p, self.degree
+        # No slot value the kernel forms before reducing exceeds vmax: a
+        # product column is at most k(p-1)^2, and the other sums (a reduced
+        # term plus a column or a scaled term, a + p - b) stay below
+        # k(p-1)^2 + 2p.  With e = (-2^s) mod p, floor(v/p) = (v * m) >> s
+        # is exact for all v <= vmax once vmax * e < 2^s (Granlund-
+        # Montgomery), and a slot of w bits holds v * m, so reducing every
+        # slot mod p takes a constant number of big-int operations.
+        vmax = k * (p - 1) ** 2 + 2 * p
+        s = 0
+        while vmax * (-(1 << s) % p) >= 1 << s:
+            s += 1
+        m = -(-(1 << s) // p)
+        w = (vmax * m).bit_length()
+        ones = sum(1 << (w * i) for i in range(2 * k))
+        self._w = w
+        self._red_mul = m
+        self._red_shift = s
+        self._red_mask = ones * ((1 << (w - s)) - 1)
+        self._low = (1 << (w * k)) - 1
+        self._p_slots = p * (ones & self._low)
+        self._packed_mod = self._pack(self.modulus)
+        self._hi_shift = w * k
+        self._q_shift = w * max(k - 2, 0)
+        self._xk = self._neg(self._packed_mod & self._low)  # X^k mod the modulus
+        # Barrett constant mu = floor(X^(2k-2) / modulus), by long division
+        num, mu = 1 << (w * (2 * k - 2)), 0
+        for d in range(2 * k - 2, k - 1, -1):
+            c = num >> (w * d)
+            if c:
+                mu |= c << (w * (d - k))
+                num = self._red(num + ((p - c) * self._packed_mod << (w * (d - k))))
+        self._mu = mu
 
     # -- identity ----------------------------------------------------------
 
@@ -335,6 +401,29 @@ class FieldContext:
             return f"{self.p}^{self.degree}:{self.modulus_poly()}"
         raise ValueError("no spec string for a two-level tower")
 
+    # -- coordinates ---------------------------------------------------------
+
+    def _pack(self, cs):
+        """Raw value with coordinates cs (lower raws, ascending; missing ones 0)."""
+        if self.lower is None:
+            raise ValueError("prime contexts have no coordinate vectors")
+        if self.depth == 1:
+            w, v = self._w, 0
+            for c in reversed(cs):
+                v = v << w | c
+            return v
+        return tuple(cs) + (self.lower._zero_raw,) * (self.degree - len(cs))
+
+    def _unpack(self, a):
+        """The degree coordinates of a raw value, as lower raws, ascending."""
+        if self.lower is None:
+            raise ValueError("prime contexts have no coordinate vectors")
+        if self.depth == 1:
+            w = self._w
+            mask = (1 << w) - 1
+            return tuple(a >> (w * i) & mask for i in range(self.degree))
+        return a
+
     # -- raw arithmetic ------------------------------------------------------
 
     def _coerce(self, v):
@@ -347,69 +436,56 @@ class FieldContext:
         if isinstance(v, int):
             if self.lower is None:
                 return v % self.p
-            c0 = self.lower._coerce(v)
-            out = [self.lower._zero_raw] * self.degree
-            out[0] = c0
-            return tuple(out)
+            return self._pack((self.lower._coerce(v),))
         if self.lower is not None and isinstance(v, (tuple, list)):
             if len(v) != self.degree:
                 raise ValueError(
                     f"expected {self.degree} coordinates, got {len(v)}"
                 )
-            return tuple(self.lower._coerce(c) for c in v)
+            return self._pack([self.lower._coerce(c) for c in v])
         raise TypeError(f"cannot interpret {v!r} as an element of {self.describe()}")
+
+    def _red(self, v):
+        """Reduce every slot of a packed value mod p."""
+        return v - self.p * ((v * self._red_mul >> self._red_shift) & self._red_mask)
 
     def _add(self, a, b):
         lo = self.lower
         if lo is None:
             return (a + b) % self.p
-        if lo.lower is None:
-            p = lo.p
-            return tuple((x + y) % p for x, y in zip(a, b))
+        if self.depth == 1:
+            return self._red(a + b)
         return tuple(lo._add(x, y) for x, y in zip(a, b))
 
     def _neg(self, a):
         lo = self.lower
         if lo is None:
             return -a % self.p
-        if lo.lower is None:
-            p = lo.p
-            return tuple(-x % p for x in a)
+        if self.depth == 1:
+            return self._red(self._p_slots - a)
         return tuple(lo._neg(x) for x in a)
 
     def _sub(self, a, b):
         lo = self.lower
         if lo is None:
             return (a - b) % self.p
-        if lo.lower is None:
-            p = lo.p
-            return tuple((x - y) % p for x, y in zip(a, b))
+        if self.depth == 1:
+            return self._red(a + self._p_slots - b)
         return tuple(lo._sub(x, y) for x, y in zip(a, b))
 
     def _mul(self, a, b):
         lo = self.lower
         if lo is None:
             return a * b % self.p
+        if self.depth == 1:
+            # Barrett: the quotient of t by the modulus is the top half of
+            # (t >> X^k) * mu, exact for polynomials of degree <= 2k - 2
+            red = self._red
+            t = red(a * b)
+            q = red((t >> self._hi_shift) * self._mu) >> self._q_shift
+            return red((t + q * self._xk) & self._low)
         d = self.degree
-        if d == 1:
-            return (lo._mul(a[0], b[0]),)
-        body = self._mod_body
-        if lo.lower is None:
-            p = lo.p
-            t = [0] * (2 * d - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            t[i + j] += ai * bj
-            for k in range(2 * d - 2, d - 1, -1):
-                c = t[k] % p
-                if c:
-                    nk = k - d
-                    for i, mi in enumerate(body):
-                        if mi:
-                            t[nk + i] -= c * mi
-            return tuple(v % p for v in t[:d])
+        body = self.modulus[:-1]
         z = lo._zero_raw
         t = [z] * (2 * d - 1)
         for i, ai in enumerate(a):
@@ -431,31 +507,42 @@ class FieldContext:
         lo = self.lower
         if lo is None:
             return a * c % self.p
-        if lo.lower is None:
-            p = lo.p
-            return tuple(x * c % p for x in a)
+        if self.depth == 1:
+            return self._red(c * a)
         return tuple(lo._mul(c, x) for x in a)
 
     def _inv(self, a):
-        if self.lower is None:
-            if a == 0:
-                raise ZeroDivisionError("division by zero")
-            return pow(a, self.p - 2, self.p)
-        s = _pstrip(self.lower, a)
-        if not s:
+        if a == self._zero_raw:
             raise ZeroDivisionError("division by zero")
-        inv = _pinvmod(self.lower, s, self.modulus)
-        return self._pad(inv)
+        p = self.p
+        if self.lower is None:
+            return pow(a, p - 2, p)
+        if self.depth > 1:
+            inv = _pinvmod(self.lower, _pstrip(self.lower, a), self.modulus)
+            return self._pack(inv)
+        # extended Euclid on packed polynomials: r0 = s0 * a mod the modulus
+        red, w = self._red, self._w
+        r0, r1, s0, s1 = self._packed_mod, a, 0, 1
+        d0, d1 = self.degree, (a.bit_length() - 1) // w
+        while r1:
+            lead_inv = pow(r1 >> (w * d1), -1, p)
+            while d0 >= d1:
+                c = p - (r0 >> (w * d0)) * lead_inv % p
+                shift = w * (d0 - d1)
+                r0 = red(r0 + (c * r1 << shift))
+                s0 = red(s0 + (c * s1 << shift))
+                d0 = (r0.bit_length() - 1) // w
+            r0, r1, s0, s1, d0, d1 = r1, r0, s1, s0, d1, d0
+        if d0:
+            raise ZeroDivisionError("element is not invertible")
+        return red(s0 * pow(r0, -1, p))
 
     def _pow(self, a, e):
-        if self.lower is None:
-            if e < 0:
-                a = self._inv(a)
-                e = -e
-            return pow(a, e, self.p)
         if e < 0:
             a = self._inv(a)
             e = -e
+        if self.lower is None:
+            return pow(a, e, self.p)
         result = self._one_raw
         base = a
         while e:
@@ -466,62 +553,47 @@ class FieldContext:
                 base = self._mul(base, base)
         return result
 
-    def _frob_basis(self):
-        # (x^i)^q for i < degree; coefficients are fixed by x -> x^q because
-        # they live in the field of order q
-        if self._frob_table is None:
-            d = self.degree
-            xq = self._pow(self._gen_raw(), self.subfield_order)
-            tbl = [self._one_raw]
-            for _ in range(1, d):
-                tbl.append(self._mul(tbl[-1], xq))
-            self._frob_table = tuple(tbl)
-        return self._frob_table
-
     def _frob(self, a, k=1):
         if self.lower is None:
             return a
-        d = self.degree
-        k %= d
+        k %= self.degree
         if k == 0:
             return a
-        tbl = self._frob_basis()
-        z = self._zero_raw
+        if self.depth == 1:
+            return self._pow(a, self.subfield_order**k)
+        # x -> x^(Q^k) fixes the coordinates, which lie in the lower field,
+        # so it maps a to sum a_i (X^i)^(Q^k); one table per k
+        tbl = self._frob_tables.get(k)
+        if tbl is None:
+            xq = self._pow(self._gen_raw(), self.subfield_order**k)
+            tbl = [self._one_raw]
+            for _ in range(1, self.degree):
+                tbl.append(self._mul(tbl[-1], xq))
+            self._frob_tables[k] = tbl
+        acc = self._zero_raw
         zl = self.lower._zero_raw
-        for _ in range(k):
-            acc = z
-            for i, c in enumerate(a):
-                if c != zl:
-                    acc = self._add(acc, self._scalar_mul(c, tbl[i]))
-            a = acc
-        return a
-
-    def _pad(self, cs):
-        if self.lower is None:
-            raise ValueError("prime contexts have no coordinate vectors")
-        z = self.lower._zero_raw
-        return tuple(cs) + (z,) * (self.degree - len(cs))
+        for c, t in zip(a, tbl):
+            if c != zl:
+                acc = self._add(acc, self._scalar_mul(c, t))
+        return acc
 
     def _gen_raw(self):
         if self.lower is None:
             raise ValueError("prime contexts have no generator")
         if self.degree == 1:
-            return (self.lower._neg(self.modulus[0]),)
-        out = [self.lower._zero_raw] * self.degree
-        out[1] = self.lower._one_raw
-        return tuple(out)
+            return self._pack((self.lower._neg(self.modulus[0]),))
+        return self._pack((self.lower._zero_raw, self.lower._one_raw))
 
     def _from_base_raw(self, c):
-        out = [self.lower._zero_raw] * self.degree
-        out[0] = c
-        return tuple(out)
+        return self._pack((c,))
 
     def _to_base_raw(self, a):
+        cs = self._unpack(a)
         z = self.lower._zero_raw
-        for c in a[1:]:
+        for c in cs[1:]:
             if c != z:
                 raise ValueError("element does not lie in the base field")
-        return a[0]
+        return cs[0]
 
     def _nth(self, i):
         if self.lower is None:
@@ -531,14 +603,14 @@ class FieldContext:
         for _ in range(self.degree):
             coords.append(self.lower._nth(i % q))
             i //= q
-        return tuple(coords)
+        return self._pack(coords)
 
     def _to_int(self, a):
         if self.lower is None:
             return a
         q = self.lower.order
         v = 0
-        for c in reversed(a):
+        for c in reversed(self._unpack(a)):
             v = v * q + self.lower._to_int(c)
         return v
 
@@ -653,11 +725,10 @@ class FieldContext:
             for c in conjs:
                 poly = _pmul(self, poly, (self._neg(c), self._one_raw))
 
+            lower = self.lower
+
             def flat_vec(raw):
-                out = []
-                for c in raw:
-                    out.extend(c)
-                return tuple(out)
+                return tuple(c for x in raw for c in lower._unpack(x))
 
             def prime_const(raw):
                 v = flat_vec(raw)
@@ -679,11 +750,11 @@ class FieldContext:
             coords = solver.solve(flat_vec(a.raw if isinstance(a, FieldElement) else a))
             if coords is None:
                 raise RuntimeError("flattening solve failed")
-            return FieldElement._wrap(flat, tuple(coords))
+            return FieldElement._wrap(flat, flat._pack(coords))
 
         def from_flat(a):
             acc = self._zero_raw
-            for c, w in zip(a.raw, pows):
+            for c, w in zip(flat._unpack(a.raw), pows):
                 if c:
                     acc = self._add(acc, self._mul(self._coerce(c), w))
             return FieldElement._wrap(self, acc)
@@ -805,7 +876,7 @@ class FieldElement:
     def coords(self):
         if self.ctx.lower is None:
             raise ValueError("prime-field elements have no coordinate vector")
-        return tuple(FieldElement._wrap(self.ctx.lower, c) for c in self.raw)
+        return tuple(FieldElement._wrap(self.ctx.lower, c) for c in self.ctx._unpack(self.raw))
 
     def __str__(self):
         return element_to_text(self)
@@ -829,6 +900,11 @@ class Polynomial:
         obj.ctx = ctx
         obj.coeffs = coeffs
         return obj
+
+    @classmethod
+    def _from_raw(cls, ctx, coeffs):
+        """Polynomial with raw coefficients, ascending; trailing zeros allowed."""
+        return cls._wrap(ctx, _pstrip(ctx, coeffs))
 
     @classmethod
     def x(cls, ctx):
@@ -1048,7 +1124,11 @@ def minimal_polynomial(a):
 
 
 def is_irreducible(f):
-    """Rabin test: f | X^(Q^n) - X and gcd(X^(Q^(n/t)) - X, f) = 1 for primes t | n."""
+    """Rabin test: f | X^(Q^n) - X and gcd(X^(Q^(n/t)) - X, f) = 1 for primes t | n.
+
+    The powers X^(Q^j) are taken in the quotient ring K[X]/(f), so over a
+    prime field the test runs on the packed kernel.
+    """
     if not isinstance(f, Polynomial):
         raise TypeError("expected a Polynomial")
     n = f.degree
@@ -1060,16 +1140,18 @@ def is_irreducible(f):
         return True
     K = f.ctx
     Q = K.order
-    fc = f.coeffs
-    xq = _ppowmod(K, (K._zero_raw, K._one_raw), Q**n, fc)
-    if _pstrip(K, _psub(K, xq, (K._zero_raw, K._one_raw))):
-        return False
-    for t in distinct_prime_factors(n):
-        w = _ppowmod(K, (K._zero_raw, K._one_raw), Q ** (n // t), fc)
-        g = _pgcd(K, _psub(K, w, (K._zero_raw, K._one_raw)), fc)
-        if len(g) != 1:
-            return False
-    return True
+    ring = FieldContext(K.p, lower=K, modulus=f.coeffs)
+    x = ring._gen_raw()
+    x_poly = (K._zero_raw, K._one_raw)
+    gcd_steps = {n // t for t in distinct_prime_factors(n)}
+    w = x
+    for j in range(1, n + 1):
+        w = ring._pow(w, Q)
+        if j in gcd_steps:
+            g = _pgcd(K, _psub(K, ring._unpack(w), x_poly), f.coeffs)
+            if len(g) != 1:
+                return False
+    return w == x
 
 
 def random_irreducible(ctx, degree, *, rng=None, seed=DEFAULT_SEED):
@@ -1184,7 +1266,7 @@ class Embedding:
         for _ in range(1, small.degree):
             pows.append(big._mul(pows[-1], root.raw))
         self._pows = tuple(pows)
-        self._solver = LinearSolver(small.lower, self._pows)
+        self._solver = LinearSolver(small.lower, [big._unpack(w) for w in pows])
 
     @classmethod
     def find(cls, small, big, *, seed=DEFAULT_SEED):
@@ -1197,7 +1279,7 @@ class Embedding:
         big = self.big
         zl = self.small.lower._zero_raw
         acc = big._zero_raw
-        for c, w in zip(a.raw, self._pows):
+        for c, w in zip(self.small._unpack(a.raw), self._pows):
             if c != zl:
                 acc = big._add(acc, big._scalar_mul(c, w))
         return FieldElement._wrap(big, acc)
@@ -1205,10 +1287,10 @@ class Embedding:
     def project(self, b):
         if not isinstance(b, FieldElement) or b.ctx != self.big:
             raise ContextMismatchError("element is not in the big field")
-        coords = self._solver.solve(b.raw)
+        coords = self._solver.solve(self.big._unpack(b.raw))
         if coords is None:
             raise ValueError("element is not in the embedded subfield")
-        return FieldElement._wrap(self.small, tuple(coords))
+        return FieldElement._wrap(self.small, self.small._pack(coords))
 
     def map_poly(self, f):
         if f.ctx != self.small:
@@ -1268,7 +1350,7 @@ def _raw_to_text(ctx, raw, level):
     if level >= len(_COORD_SEPS):
         raise ValueError("tower too deep for the text format")
     sep = _COORD_SEPS[level]
-    return sep.join(_raw_to_text(ctx.lower, c, level + 1) for c in raw)
+    return sep.join(_raw_to_text(ctx.lower, c, level + 1) for c in ctx._unpack(raw))
 
 
 def element_from_text(ctx, s, _level=0):
@@ -1289,7 +1371,7 @@ def _raw_from_text(ctx, s, level):
     parts = s.split(_COORD_SEPS[level])
     if len(parts) != ctx.degree:
         raise ValueError(f"expected {ctx.degree} coordinates, got {len(parts)}")
-    return tuple(_raw_from_text(ctx.lower, part, level + 1) for part in parts)
+    return ctx._pack([_raw_from_text(ctx.lower, part, level + 1) for part in parts])
 
 
 def poly_to_text(f):

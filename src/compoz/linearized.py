@@ -86,7 +86,9 @@ def is_normal(gamma, degree=None):
         raise ValueError("normality is relative to an extension field")
     r = ctx.degree if degree is None else degree
     conjs = _orbit(ctx, gamma.raw)
-    return len(conjs) == r and linalg.mat_rank(ctx.lower, tuple(conjs)) == r
+    return len(conjs) == r and linalg.mat_rank(
+        ctx.lower, tuple(ctx._unpack(c) for c in conjs)
+    ) == r
 
 
 def random_normal_element(ctx, *, rng=None, seed=DEFAULT_SEED):
@@ -200,7 +202,7 @@ def staircase(phi):
     if math.gcd(m, n) != 1:
         raise ValueError("staircase needs coprime dimensions")
     coeffs = [phi.rows[k % m][k % n] for k in range(m * n)]
-    return StaircasePoly(poly=Polynomial(phi.ctx, coeffs), m=m, n=n)
+    return StaircasePoly(poly=Polynomial._from_raw(phi.ctx, coeffs), m=m, n=n)
 
 
 def staircase_normal_test(phi, alpha, beta):

@@ -186,7 +186,7 @@ def normal_by_gcd(gamma):
         conj.append(raw)
         raw = ctx._pow(raw, ctx.subfield_order)
     coeffs = [conj[m - 1 - t] for t in range(m)]
-    gpoly = Polynomial(ctx, [ctx.element(c) for c in coeffs])
+    gpoly = Polynomial._from_raw(ctx, coeffs)
     xm1 = Polynomial(ctx, [-1] + [0] * (m - 1) + [1])
     return gpoly.gcd(xm1).degree == 0
 

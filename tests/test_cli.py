@@ -159,6 +159,13 @@ def test_usage_errors(capsys):
             capsys, "twisted", "--q", q, "--m", "3", "--n", "5", "--k", "1", "--l", "2"
         )
         assert code == 2 and out == "" and "not a prime power" in err
+    # q^lcm(m, n) past the cap: 3^202 > 2^256, refused before any field is built
+    big_f = ",".join(["1"] * 101 + ["1"])
+    for command in ("compose", "check-cc", "factor"):
+        code, out, err = run(
+            capsys, command, "--q", "3", "--f", big_f, "--g", "1,0,1", "--phi", PHI_CC
+        )
+        assert code == 2 and out == "" and "size cap" in err
 
 
 def test_element_text_via_extension_field(capsys):

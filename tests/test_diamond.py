@@ -32,6 +32,27 @@ def test_row_col_polys(worked):
     assert worked.phi_cc.col_poly(1).degree == 0
 
 
+def test_phi_over_extension_base_keeps_entries():
+    # entries over GF(4) are raw field values; none may be read back as an integer
+    gf4 = cz.parse_field_spec("2^2:1,1,1")
+    rng = random.Random(3)
+    entries = [[gf4.random_element(rng) for _ in range(3)] for _ in range(2)]
+    entries[1][2] = gf4.generator()
+    phi = cz.PhiPoly.build(gf4, entries)
+    for i, row in enumerate(entries):
+        assert phi.row_poly(i) == cz.Polynomial(gf4, row)
+    for j in range(3):
+        assert phi.col_poly(j) == cz.Polynomial(gf4, [row[j] for row in entries])
+    assert cz.PhiPoly.from_text(gf4, phi.to_text()) == phi
+    cz.rank_decomposition(phi)  # raises unless the factors rebuild the grid
+    drawn = cz.PhiPoly.random(gf4, 2, 3, rng)
+    rebuilt = [[drawn.row_poly(i).coefficient(j) for j in range(3)] for i in range(2)]
+    assert cz.PhiPoly.build(gf4, rebuilt) == drawn
+    lin = cz.PhiPoly.build(gf4, entries, cz.LINEARIZED)
+    st = cz.staircase(lin)
+    assert [st.poly.coefficient(k) for k in range(6)] == [entries[k % 2][k % 3] for k in range(6)]
+
+
 # -- binding and evaluation -------------------------------------------------------
 
 

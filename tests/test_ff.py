@@ -357,3 +357,163 @@ def test_polynomial_divmod_gcd(F3):
     assert f.gcd(g).degree == 0
     h = f * g
     assert h.gcd(f) == f
+
+
+# -- packed kernel against a schoolbook reference -----------------------------------
+#
+# The reference works on nested coordinate lists (ints at the bottom) and
+# shares no code with FieldContext: it multiplies by the schoolbook rule and
+# reduces by the monic modulus one leading term at a time.
+
+
+class _RefField:
+    """GF(p) when lower is None, else lower[X]/(modulus) on coordinate lists."""
+
+    def __init__(self, p, lower=None, modulus=None):
+        self.p, self.lower, self.modulus = p, lower, modulus
+        self.k = 1 if lower is None else len(modulus) - 1
+        self.order = p if lower is None else lower.order**self.k
+
+    def zero(self):
+        return 0 if self.lower is None else [self.lower.zero()] * self.k
+
+    def one(self):
+        return 1 if self.lower is None else [self.lower.one()] + self.zero()[1:]
+
+    def add(self, a, b):
+        if self.lower is None:
+            return (a + b) % self.p
+        return [self.lower.add(x, y) for x, y in zip(a, b)]
+
+    def neg(self, a):
+        if self.lower is None:
+            return -a % self.p
+        return [self.lower.neg(x) for x in a]
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        lo = self.lower
+        if lo is None:
+            return a * b % self.p
+        k = self.k
+        t = [lo.zero() for _ in range(2 * k - 1)]
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                t[i + j] = lo.add(t[i + j], lo.mul(x, y))
+        for d in range(2 * k - 2, k - 1, -1):
+            c = t[d]
+            for i, m in enumerate(self.modulus):
+                t[d - k + i] = lo.sub(t[d - k + i], lo.mul(c, m))
+        return t[:k]
+
+    def pow(self, a, e):
+        out = self.one()
+        for bit in bin(e)[2:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    def index(self, a):
+        if self.lower is None:
+            return a
+        return sum(self.lower.index(c) * self.lower.order**i for i, c in enumerate(a))
+
+    def random(self, rng):
+        if self.lower is None:
+            return rng.randrange(self.p)
+        return [self.lower.random(rng) for _ in range(self.k)]
+
+    def top(self):
+        """Every coordinate at its largest value p - 1: the fullest slots."""
+        return self.p - 1 if self.lower is None else [self.lower.top()] * self.k
+
+
+def _nested_coords(x):
+    if x.ctx.lower is None:
+        return x.to_int()
+    return [_nested_coords(c) for c in x.coords()]
+
+
+def _ref_field(ctx):
+    if ctx.lower is None:
+        return _RefField(ctx.p)
+    modulus = [_nested_coords(c) for c in ctx.modulus_poly().coefficients()]
+    return _RefField(ctx.p, _ref_field(ctx.lower), modulus)
+
+
+KERNEL_FIELDS = [
+    ("2", 1), ("2", 2), ("2", 12), ("2", 63),
+    ("3", 2), ("3", 12), ("3", 20),
+    ("5", 6), ("7", 3),
+    ("2^2:1,1,1", 3), ("3^2:2,2,1", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, degree", KERNEL_FIELDS, ids=[f"{s.split(':')[0]}_{d}" for s, d in KERNEL_FIELDS]
+)
+def test_kernel_matches_schoolbook(spec, degree):
+    ctx = cz.extension_field(cz.parse_field_spec(spec), degree, seed=0)
+    ref = _ref_field(ctx)
+    rng = random.Random(f"kernel:{spec}:{degree}")
+    values = [ref.zero(), ref.one(), ref.top()] + [ref.random(rng) for _ in range(10)]
+    one = ref.one()
+    q = ctx.subfield_order
+    for u, v in zip(values, values[1:] + values[:1]):
+        a, b = ctx.element(u), ctx.element(v)
+        # coordinates, index and text
+        assert _nested_coords(a) == u
+        i = ref.index(u)
+        assert a.to_int() == i and ctx.nth_element(i) == a
+        assert cz.element_from_text(ctx, cz.element_to_text(a)) == a
+        # ring operations
+        assert _nested_coords(a + b) == ref.add(u, v)
+        assert _nested_coords(a - b) == ref.sub(u, v)
+        assert _nested_coords(-a) == ref.neg(u)
+        assert _nested_coords(a * b) == ref.mul(u, v)
+        e = rng.randrange(40)
+        assert _nested_coords(a**e) == ref.pow(u, e)
+        for j in (1, 2):
+            assert _nested_coords(a.frobenius(j)) == ref.pow(u, q**j)
+        if u == ref.zero():
+            with pytest.raises(ZeroDivisionError):
+                a**-1
+        else:
+            assert ref.mul(_nested_coords(a**-1), u) == one
+            assert ref.mul(_nested_coords(a**-3), ref.pow(u, 3)) == one
+
+
+# -- prime-field polynomials against sympy --------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_irreducible_and_gcd_match_sympy(p):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_gcd, gf_irreducible_p
+
+    F = cz.prime_field(p)
+    rng = random.Random(f"sympy:{p}")
+
+    def draw(degree, monic):
+        cs = [rng.randrange(p) for _ in range(degree)]
+        return cs + [1 if monic else rng.randrange(1, p)]
+
+    for degree in range(1, 13):
+        for _ in range(6):
+            cs = draw(degree, True)
+            assert cz.is_irreducible(cz.Polynomial(F, cs)) == gf_irreducible_p(
+                cs[::-1], p, ZZ
+            )
+            # a shared factor makes most gcds nontrivial
+            common = draw(rng.randrange(0, 4), False)
+            f = cz.Polynomial(F, draw(rng.randrange(0, degree + 1), False))
+            g = cz.Polynomial(F, draw(degree, False))
+            if rng.randrange(2):
+                f, g = f * cz.Polynomial(F, common), g * cz.Polynomial(F, common)
+            expected = gf_gcd([c.to_int() for c in f.coefficients()][::-1],
+                              [c.to_int() for c in g.coefficients()][::-1], p, ZZ)
+            assert [c.to_int() for c in f.gcd(g).coefficients()] == expected[::-1]
