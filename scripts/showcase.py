@@ -26,8 +26,8 @@ def main():
     g = cz.poly_from_text(F3, "1,2,0,1")
     print(f"f = {f}   g = {g}   over GF(3)")
 
-    show_matrix("Frobenius matrix of f (power basis)", cz.petr_berlekamp_matrix(f).entries)
-    show_matrix("Frobenius matrix of g (power basis)", cz.petr_berlekamp_matrix(g).entries)
+    show_matrix("Frobenius matrix of f (power basis)", cz.petr_berlekamp_matrix(f))
+    show_matrix("Frobenius matrix of g (power basis)", cz.petr_berlekamp_matrix(g))
 
     pair = cz.RootPair.build(f, g)
     for label, rows in (

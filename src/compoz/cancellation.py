@@ -23,7 +23,7 @@ from . import linalg
 from .diamond import MONOMIAL, PhiPoly
 from .ff import (
     DEFAULT_SEED,
-    Polynomial,
+    FieldContext,
     degree_over_base,
     distinct_prime_factors,
     is_irreducible,
@@ -59,46 +59,38 @@ class CcVerdict:
         return doc
 
 
-@dataclass(frozen=True)
-class FrobeniusMatrix:
-    """Matrix of x -> x^q in a power basis (1, a, ..) or a normal basis."""
-
-    ctx: object
-    size: int
-    basis: str
-    entries: tuple
+@lru_cache(maxsize=256)
+def _power_basis_field(f):
+    """GF(q)[X]/(f) for a monic irreducible f, which is validated once."""
+    m = f.degree
+    if m is None or m < 1 or not f.is_monic:
+        raise ValueError("expected a monic polynomial of degree >= 1")
+    if not is_irreducible(f):
+        raise ValueError("polynomial is reducible")
+    return FieldContext(f.ctx.p, lower=f.ctx, modulus=f.coeffs)
 
 
 def petr_berlekamp_matrix(f):
     """Matrix of the q-power map in the basis 1, alpha, ..., alpha^(m-1).
 
     Column j holds the coordinates of (alpha^j)^q where alpha is a root of
-    the monic irreducible f.
+    the monic irreducible f.  Rows are tuples of raw base-field values, as
+    every linalg function takes them.
     """
-    m = f.degree
-    if m is None or m < 1 or not f.is_monic:
-        raise ValueError("expected a monic polynomial of degree >= 1")
-    if not is_irreducible(f):
-        raise ValueError("polynomial is reducible")
-    K = f.ctx
-    xq = Polynomial.x(K).pow_mod(K.order, f)
-    cols = []
-    cur = Polynomial.one(K)
-    for j in range(m):
-        if j:
-            cur = (cur * xq) % f
-        cols.append([cur.coefficient(i).raw for i in range(m)])
-    entries = tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
-    return FrobeniusMatrix(ctx=K, size=m, basis="power", entries=entries)
+    ring = _power_basis_field(f)
+    xq = ring._frob(ring._gen_raw(), 1)
+    cols = [ring._one_raw]
+    for _ in range(1, ring.degree):
+        cols.append(ring._mul(cols[-1], xq))
+    return tuple(zip(*(ring._unpack(c) for c in cols)))
 
 
 def normal_basis_shift_matrix(ctx, m):
     """The q-power map in a normal basis: the cyclic shift permutation."""
     z, o = ctx._zero_raw, ctx._one_raw
-    entries = tuple(
+    return tuple(
         tuple(o if i == (j + 1) % m else z for j in range(m)) for i in range(m)
     )
-    return FrobeniusMatrix(ctx=ctx, size=m, basis="normal", entries=entries)
 
 
 # -- direct and degree-based routes -----------------------------------------
@@ -147,43 +139,22 @@ def cc_oracle(bd):
 # -- coefficient-polynomial route --------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _frobenius_points(f):
-    """x^(q^(m/p)) mod f for each prime p | m; reused across calls on one f."""
-    m = f.degree
-    if m is None or m < 1 or not f.is_monic:
-        raise ValueError("expected a monic polynomial of degree >= 1")
-    if not is_irreducible(f):
-        raise ValueError("polynomial is reducible")
-    q = f.ctx.order
-    x = Polynomial.x(f.ctx)
-    return tuple(
-        (p, x.pow_mod(q ** (m // p), f)) for p in distinct_prime_factors(m)
-    )
-
-
 def _surviving_primes(f, polys):
     """Primes p | m for which every u has u(alpha) inside GF(q^(m/p))."""
     m = f.degree
-    points = _frobenius_points(f)
+    ring = _power_basis_field(f)
+    values = []
     for u in polys:
         d = u.degree
         if d is not None and d >= m:
             raise ValueError("coefficient polynomials must have degree < deg f")
-    remaining = list(points)
-    for u in polys:
-        u_can = u % f
-        still = []
-        for p, pt in remaining:
-            acc = Polynomial(f.ctx)
-            for i in range(len(u.coeffs) - 1, -1, -1):
-                acc = (acc * pt + u.coefficient(i)) % f
-            if acc == u_can:
-                still.append((p, pt))
-        remaining = still
+        values.append(ring._pack(u.coeffs))
+    remaining = distinct_prime_factors(m)
+    for v in values:
+        remaining = [p for p in remaining if ring._frob(v, m // p) == v]
         if not remaining:
             break
-    return tuple(p for p, _ in remaining)
+    return tuple(remaining)
 
 
 def verify_extension_degree(f, polys):
@@ -191,9 +162,11 @@ def verify_extension_degree(f, polys):
 
     Exactly the subfield sieve: alpha is a root of the monic irreducible f,
     and the values generate GF(q^m) iff for every prime p | m some u(alpha)
-    moves under the q^(m/p)-power map.  Evaluations use Horner in
-    GF(q)[X]/(f); the per-f Frobenius powers are cached, and the sieve exits
-    as soon as every prime is ruled out.  On average only the first couple
+    moves under the q^(m/p)-power map.  GF(q)[X]/(f) is a FieldContext,
+    built and validated once per f, whose elements are the values u(alpha):
+    u is its own coordinate vector there, and the test of a prime p is
+    whether the Frobenius power _frob(u, m/p) fixes u.  The sieve exits as
+    soon as every prime is ruled out, so on average only the first couple
     of polynomials are touched.
     """
     return not _surviving_primes(f, polys)
@@ -225,8 +198,8 @@ def sample_cc_phi_matrices(f, g, count, *, rng=None, seed=DEFAULT_SEED):
     """Rejection-sample phi matrices whose products cancel conjugates.
 
     Draws uniform m x n coefficient matrices and keeps those passing the
-    extension-degree check on both sides.  The Frobenius powers for f and g
-    are computed once and shared by all candidates.
+    extension-degree check on both sides.  The quotient rings of f and g
+    are built once and shared by all candidates.
     """
     m, n = f.degree, g.degree
     if math.gcd(m, n) != 1:
@@ -261,12 +234,12 @@ def matrix_cc_test(f, g, phi):
         raise ValueError("matrix route needs coprime degrees")
     K = f.ctx
     C = phi.rows
-    A = petr_berlekamp_matrix(f).entries
+    A = petr_berlekamp_matrix(f)
     for p in distinct_prime_factors(m):
         D = linalg.mat_sub(K, linalg.mat_pow(K, A, m // p), linalg.identity(K, m))
         if linalg.mat_is_zero(K, linalg.mat_mul(K, D, C)):
             return CcVerdict(False, ROUTE_MATRIX, CcWitness(m // p, "alpha", 0))
-    B = petr_berlekamp_matrix(g).entries
+    B = petr_berlekamp_matrix(g)
     Ct = linalg.transpose(C)
     for p in distinct_prime_factors(n):
         D = linalg.mat_sub(K, linalg.mat_pow(K, B, n // p), linalg.identity(K, n))

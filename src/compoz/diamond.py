@@ -22,6 +22,7 @@ from .ff import (
     FieldElement,
     Polynomial,
     _orbit,
+    _pfromroots,
     degree_over_base,
     extension_field,
     find_root,
@@ -131,6 +132,12 @@ class PhiPoly:
         return FieldElement._wrap(ext, acc)
 
     def to_text(self):
+        """Header "q m n basis", then one line of n space-separated entries per row.
+
+        An entry over an extension base lists its coordinates separated by
+        ':' ("1:0" over GF(4)), the separator one level below the '/' of a
+        polynomial coefficient ("1/0").
+        """
         head = f"{self.ctx.order} {self.m} {self.n} {self.basis}"
         lines = [head]
         from .ff import _raw_to_text
@@ -141,6 +148,11 @@ class PhiPoly:
 
     @classmethod
     def from_text(cls, ctx, text):
+        """Inverse of to_text; ';' may stand for a newline.
+
+        Entries over an extension base take ':' between coordinates ("1:0"
+        over GF(4)), where a polynomial coefficient takes '/' ("1/0").
+        """
         lines = [ln.strip() for ln in text.replace(";", "\n").splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty phi description")
@@ -362,11 +374,8 @@ class BoundDiamond:
         """Expand the product of (X - value) over the grid, projected to the base."""
         if self._composed is None:
             ctx = self.pair.ctx
-            poly = Polynomial.one(ctx)
-            x = Polynomial.x(ctx)
-            for row in self.vals:
-                for v in row:
-                    poly = poly * (x - FieldElement._wrap(ctx, v))
+            roots = [v for row in self.vals for v in row]
+            poly = Polynomial._wrap(ctx, _pfromroots(ctx, roots))
             try:
                 from .ff import project_poly_to_base
 
@@ -512,14 +521,15 @@ def intermediate_factorization(f, g, spec, k, l, *, pair=None, seed=DEFAULT_SEED
     ctx_kl = extension_field(base, k * l, seed=seed)
     emb = _cached_embedding(ctx_kl, pair.ctx, seed)
     ctx = pair.ctx
-    x = Polynomial.x(ctx)
     factors = []
     for mu in range(k):
         for nu in range(l):
-            poly = Polynomial.one(ctx)
-            for i in range(m // k):
-                for j in range(n // l):
-                    poly = poly * (x - bd.value(k * i + mu, l * j + nu))
+            roots = [
+                bd.value(k * i + mu, l * j + nu).raw
+                for i in range(m // k)
+                for j in range(n // l)
+            ]
+            poly = Polynomial._wrap(ctx, _pfromroots(ctx, roots))
             try:
                 factors.append(emb.project_poly(poly))
             except ValueError as exc:

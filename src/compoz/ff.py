@@ -29,6 +29,12 @@ is not the integer it looks like, internal code builds elements and
 polynomials from raw values with FieldElement._wrap / Polynomial._from_raw,
 never through the coercing constructors.
 
+Arithmetic in a quotient ring K[X]/(h) is always done in the context
+FieldContext(p, lower=K, modulus=h) on raw values as above, whether h is
+irreducible or not: Polynomial.pow_mod, the Rabin test, root splitting and
+the Frobenius matrices and subfield sieve of the cancellation routes all
+run on it.
+
 Public code works with the FieldElement and Polynomial wrappers; the raw
 layer keeps the inner loops allocation-light.  Polynomial coefficients are
 stored ascending with trailing zeros stripped.  The zero polynomial has
@@ -183,6 +189,14 @@ def _pmul(K, a, b):
     return tuple(out)
 
 
+def _pfromroots(K, raws):
+    """prod (X - r) over the raw values r, in order."""
+    out = (K._one_raw,)
+    for r in raws:
+        out = _pmul(K, out, (K._neg(r), K._one_raw))
+    return out
+
+
 def _pdivmod(K, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -246,18 +260,6 @@ def _pinvmod(K, a, mod):
     if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible")
     return _pscale(K, K._inv(r0[0]), s0)
-
-
-def _ppowmod(K, base, e, mod):
-    result = (K._one_raw,)
-    b = _pmod(K, base, mod)
-    while e:
-        if e & 1:
-            result = _pmod(K, _pmul(K, result, b), mod)
-        e >>= 1
-        if e:
-            b = _pmod(K, _pmul(K, b, b), mod)
-    return result
 
 
 def _peval(K, f, x):
@@ -721,9 +723,7 @@ class FieldContext:
             for _ in range(em):
                 conjs.append(b)
                 b = self._pow(b, p)
-            poly = (self._one_raw,)
-            for c in conjs:
-                poly = _pmul(self, poly, (self._neg(c), self._one_raw))
+            poly = _pfromroots(self, conjs)
 
             lower = self.lower
 
@@ -920,11 +920,7 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, ctx, roots):
-        out = (ctx._one_raw,)
-        for r in roots:
-            raw = ctx._coerce(r)
-            out = _pmul(ctx, out, (ctx._neg(raw), ctx._one_raw))
-        return cls._wrap(ctx, out)
+        return cls._wrap(ctx, _pfromroots(ctx, [ctx._coerce(r) for r in roots]))
 
     @property
     def degree(self):
@@ -1043,14 +1039,18 @@ class Polynomial:
         return Polynomial._wrap(self.ctx, _pgcd(self.ctx, self.coeffs, other.coeffs))
 
     def pow_mod(self, e, modulus):
+        """self^e mod modulus, a power in the quotient ring K[X]/(monic modulus)."""
         self._same(modulus)
         if e < 0:
             raise ValueError("negative exponents are not supported")
         if modulus.is_zero:
             raise ZeroDivisionError("zero modulus")
-        return Polynomial._wrap(
-            self.ctx, _ppowmod(self.ctx, self.coeffs, e, modulus.coeffs)
-        )
+        K = self.ctx
+        if modulus.degree == 0:
+            return Polynomial._wrap(K, ())  # every residue mod a unit is 0
+        ring = FieldContext(K.p, lower=K, modulus=modulus.monic().coeffs)
+        a = ring._pack(_pmod(K, self.coeffs, modulus.coeffs))
+        return Polynomial._from_raw(K, ring._unpack(ring._pow(a, e)))
 
     def evaluate(self, x):
         if not isinstance(x, FieldElement) or x.ctx != self.ctx:
@@ -1117,9 +1117,7 @@ def minimal_polynomial(a):
     ctx = a.ctx
     if ctx.lower is None:
         return Polynomial._wrap(ctx, (ctx._neg(a.raw), ctx._one_raw))
-    poly = (ctx._one_raw,)
-    for c in _orbit(ctx, a.raw):
-        poly = _pmul(ctx, poly, (ctx._neg(c), ctx._one_raw))
+    poly = _pfromroots(ctx, _orbit(ctx, a.raw))
     return Polynomial._wrap(ctx.lower, tuple(ctx._to_base_raw(c) for c in poly))
 
 
@@ -1218,25 +1216,23 @@ def find_root(f, ext, *, seed=DEFAULT_SEED):
         raise ValueError("polynomial is reducible")
     rng = random.Random(seed)
     Q = ext.order
-    h = embed_poly_from_base(f, ext)
-    one = Polynomial.one(ext)
-    while h.degree > 1:
-        u = Polynomial(ext, [ext.random_element(rng) for _ in range(h.degree)])
-        if u.is_zero:
+    # ring is ext[X]/(h) for the current factor h of f; a proper gcd shrinks h
+    ring = FieldContext(ext.p, lower=ext, modulus=embed_poly_from_base(f, ext).coeffs)
+    while ring.degree > 1:
+        u = ring._pack([ext._random_raw(rng) for _ in range(ring.degree)])
+        if u == ring._zero_raw:
             continue
         if Q % 2:
-            w = u.pow_mod((Q - 1) // 2, h) - one
+            w = ring._sub(ring._pow(u, (Q - 1) // 2), ring._one_raw)
         else:
-            w = u % h
-            s = w
+            w = s = u  # the trace u + u^2 + u^4 + ... + u^(Q/2)
             for _ in range(Q.bit_length() - 2):
-                s = (s * s) % h
-                w = w + s
-        g = h.gcd(w)
-        d = g.degree
-        if d is not None and 0 < d < h.degree:
-            h = g
-    root = (-h.coefficient(0)).raw
+                s = ring._mul(s, s)
+                w = ring._add(w, s)
+        g = _pgcd(ext, ring.modulus, _pstrip(ext, ring._unpack(w)))
+        if 1 < len(g) <= ring.degree:
+            ring = FieldContext(ext.p, lower=ext, modulus=g)
+    root = ext._neg(ring.modulus[0])
     return FieldElement._wrap(ext, min(_orbit(ext, root), key=ext._to_int))
 
 

@@ -48,9 +48,9 @@ def test_criterion_2_frobenius_matrices(worked):
 
     A = cz.petr_berlekamp_matrix(worked.f)
     B = cz.petr_berlekamp_matrix(worked.g)
-    ok = A.entries == A_ENTRIES and B.entries == B_ENTRIES
+    ok = A == A_ENTRIES and B == B_ENTRIES
     D = linalg.mat_sub(
-        worked.base, linalg.mat_pow(worked.base, A.entries, 2),
+        worked.base, linalg.mat_pow(worked.base, A, 2),
         linalg.identity(worked.base, 4),
     )
     ok = ok and linalg.mat_mul(worked.base, D, worked.phi_cc.rows) == A2I_TIMES_C

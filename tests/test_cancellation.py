@@ -13,15 +13,15 @@ from conftest import A2I_TIMES_C, A_ENTRIES, B_ENTRIES
 def test_petr_berlekamp_frozen(worked):
     A = cz.petr_berlekamp_matrix(worked.f)
     B = cz.petr_berlekamp_matrix(worked.g)
-    assert A.entries == A_ENTRIES and A.basis == "power"
-    assert B.entries == B_ENTRIES
-    assert linalg.mat_pow(worked.base, A.entries, 4) == linalg.identity(worked.base, 4)
-    assert linalg.mat_pow(worked.base, B.entries, 3) == linalg.identity(worked.base, 3)
+    assert A == A_ENTRIES
+    assert B == B_ENTRIES
+    assert linalg.mat_pow(worked.base, A, 4) == linalg.identity(worked.base, 4)
+    assert linalg.mat_pow(worked.base, B, 3) == linalg.identity(worked.base, 3)
 
 
 def test_petr_berlekamp_degree_one(F3):
     M = cz.petr_berlekamp_matrix(cz.poly_from_text(F3, "1,1"))
-    assert M.entries == ((1,),)
+    assert M == ((1,),)
 
 
 def test_petr_berlekamp_rejects_reducible(F3):
@@ -31,14 +31,13 @@ def test_petr_berlekamp_rejects_reducible(F3):
 
 def test_shift_matrix_has_full_order(F3):
     M = cz.normal_basis_shift_matrix(F3, 5)
-    assert M.basis == "normal"
-    assert linalg.mat_pow(F3, M.entries, 5) == linalg.identity(F3, 5)
+    assert linalg.mat_pow(F3, M, 5) == linalg.identity(F3, 5)
     for k in range(1, 5):
-        assert linalg.mat_pow(F3, M.entries, k) != linalg.identity(F3, 5)
+        assert linalg.mat_pow(F3, M, k) != linalg.identity(F3, 5)
 
 
 def test_printed_matrix_product(worked):
-    A = cz.petr_berlekamp_matrix(worked.f).entries
+    A = cz.petr_berlekamp_matrix(worked.f)
     D = linalg.mat_sub(
         worked.base, linalg.mat_pow(worked.base, A, 2), linalg.identity(worked.base, 4)
     )
@@ -167,16 +166,31 @@ def test_verify_extension_input_errors(worked, F3):
         cz.verify_extension_degree(cz.poly_from_text(F3, "2,0,1"), [])
 
 
-def test_verify_matches_subfield_membership(F3):
-    # u(alpha) in GF(9) exactly when the q^2-power fixes it
-    f = cz.poly_from_text(F3, "2,0,1,0,1")
-    ctx = F3.extension(f)
-    alpha = ctx.generator()
+@pytest.mark.parametrize(
+    "spec, m",
+    [
+        ("3", 4),  # one prime: u(alpha) in GF(9) exactly when the q^2-power fixes it
+        ("2", 6),  # two primes, subfields GF(8) and GF(4)
+        ("2^2:1,1,1", 3),  # a GF(4) base, so the ring GF(4)[X]/(f) is a two-level tower
+    ],
+    ids=["F3-m4", "F2-m6", "F4-m3"],
+)
+def test_verify_matches_subfield_membership(spec, m):
+    base = cz.parse_field_spec(spec)
+    if spec == "3":
+        f = cz.poly_from_text(base, "2,0,1,0,1")
+    else:
+        f = cz.random_irreducible(base, m, seed=5)
+    alpha = base.extension(f).generator()
     rng = random.Random(6)
-    for _ in range(40):
-        u = cz.Polynomial(F3, [rng.randrange(3) for _ in range(4)])
-        expected = cz.degree_over_base(cz.evaluate_in_extension(u, alpha)) == 4
+    polys = [cz.Polynomial.constant(base, c) for c in base.all_elements()]
+    polys += [cz.Polynomial(base, [base.random_element(rng) for _ in range(m)]) for _ in range(60)]
+    seen = set()
+    for u in polys:
+        expected = cz.degree_over_base(cz.evaluate_in_extension(u, alpha)) == m
         assert cz.verify_extension_degree(f, [u]) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 # -- sampling ------------------------------------------------------------------------

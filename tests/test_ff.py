@@ -517,3 +517,53 @@ def test_irreducible_and_gcd_match_sympy(p):
             expected = gf_gcd([c.to_int() for c in f.coefficients()][::-1],
                               [c.to_int() for c in g.coefficients()][::-1], p, ZZ)
             assert [c.to_int() for c in f.gcd(g).coefficients()] == expected[::-1]
+
+
+# -- pow_mod against the power and remainder operators ------------------------------
+
+
+def _pow_mod_cases(spec):
+    """(base, e, modulus) over the field spec: constant, monic and non-monic
+    moduli, zero bases and bases of degree below, at and above the modulus."""
+    K = cz.parse_field_spec(spec)
+    rng = random.Random(f"pow_mod:{spec}")
+    nonzero = [a for a in K.all_elements() if not a.is_zero]
+
+    def draw(degree, lead):
+        return cz.Polynomial(K, [K.random_element(rng) for _ in range(degree)] + [lead])
+
+    moduli = [cz.Polynomial.constant(K, c) for c in nonzero]  # residues mod a unit are 0
+    for degree in (1, 2, 3, 5):
+        moduli += [draw(degree, K.one), draw(degree, rng.choice(nonzero))]
+    if K.order > 2:
+        moduli.append(draw(4, nonzero[-1]))  # nonzero[-1] is not 1: non-monic
+    cases = []
+    for modulus in moduli:
+        d = modulus.degree
+        for e in (0, 1, rng.randrange(2, 60)):
+            cases.append((cz.Polynomial(K), e, modulus))
+            for base_degree in (max(d - 1, 0), d, 2 * d + 3):
+                cases.append((draw(base_degree, rng.choice(nonzero)), e, modulus))
+    return cases
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "5", "2^2:1,1,1", "3^2:1,0,1"])
+def test_pow_mod_matches_power_then_remainder(spec):
+    for base, e, modulus in _pow_mod_cases(spec):
+        assert base.pow_mod(e, modulus) == (base**e) % modulus, (base, e, modulus)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pow_mod_matches_sympy(p):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    def dense(f):
+        return [c.to_int() for c in f.coefficients()][::-1]
+
+    # gf_pow_mod returns [1] for e = 0 even mod a constant, so only proper moduli
+    for base, e, modulus in _pow_mod_cases(str(p)):
+        if modulus.degree >= 1:
+            got = base.pow_mod(e, modulus)
+            assert dense(got) == gf_pow_mod(dense(base), e, dense(modulus), p, ZZ)
