@@ -5,7 +5,10 @@ by a bivariate coefficient matrix (PhiPoly, in the monomial basis X^i Y^j
 or the linearized basis X^(q^i) Y^(q^j)) or by an explicit table of values
 on orbit representatives.  Binding a spec to a concrete pair of roots in a
 common extension produces the full m x n value grid, from which composed
-products and their factorizations are read off.
+products and their factorizations are read off.  Both kinds bind the same
+way: the values at the gcd(m, n) representatives (0, j) are evaluated
+(phi) or given (table), and every other cell follows by walking its orbit
+with the q-power map, since (a diamond b)^q = a^q diamond b^q.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .ff import (
     Embedding,
     FieldElement,
     Polynomial,
-    _orbit,
     _pfromroots,
     degree_over_base,
     extension_field,
@@ -94,9 +96,6 @@ class PhiPoly:
         if self.basis != MONOMIAL:
             raise ValueError("col_poly reads the monomial basis")
         return Polynomial._from_raw(self.ctx, tuple(r[j] for r in self.rows))
-
-    def matrix(self):
-        return self.rows
 
     def evaluate(self, x, y):
         """Evaluate at two elements of a common extension of the base field."""
@@ -175,18 +174,10 @@ class PhiPoly:
         return cls._from_raw(ctx, tuple(rows), basis)
 
 
-@dataclass(frozen=True)
-class SeparatedRep:
-    """phi written as sum of rank-many separated products u_s(X) v_s(Y)."""
-
-    rank: int
-    us: tuple
-    vs: tuple
-
-
 def rank_decomposition(phi):
     """Rank factorization of the coefficient matrix into independent u, v lists.
 
+    Returns (us, vs) with phi = sum of u_s(X) v_s(Y); the rank is len(us).
     For a linearized phi the returned polynomials are coefficient vectors of
     q-powers rather than ordinary polynomials; their reconstruction identity
     is the same either way.
@@ -209,13 +200,13 @@ def rank_decomposition(phi):
                     rebuilt[i][j] = ctx._add(rebuilt[i][j], ctx._mul(ui, vj))
     if tuple(tuple(row) for row in rebuilt) != phi.rows:
         raise RuntimeError("rank factorization failed to reconstruct the matrix")
-    return SeparatedRep(rank=r, us=us, vs=vs)
+    return us, vs
 
 
 class RootPair:
-    """Roots of f and g fixed in a common extension, with conjugate tables."""
+    """Roots of f and g fixed in a common extension."""
 
-    __slots__ = ("base", "f", "g", "m", "n", "ctx", "alpha", "beta", "alphas", "betas")
+    __slots__ = ("base", "f", "g", "m", "n", "ctx", "alpha", "beta")
 
     def __init__(self, f, g, ctx, alpha, beta):
         self.base = f.ctx
@@ -226,8 +217,6 @@ class RootPair:
         self.ctx = ctx
         self.alpha = alpha
         self.beta = beta
-        self.alphas = tuple(_orbit(ctx, alpha.raw))
-        self.betas = tuple(_orbit(ctx, beta.raw))
 
     @classmethod
     def build(cls, f, g, *, ctx=None, seed=DEFAULT_SEED):
@@ -305,64 +294,25 @@ class BoundDiamond:
         self.pair = pair
         self._composed = None
         ctx = pair.ctx
+        g = math.gcd(m, n)
         if spec.kind == "phi":
-            self.vals = self._phi_grid(spec.phi, pair)
+            # phi may have any shape; only the grid follows the pair degrees
+            reps = [
+                spec.phi.evaluate(pair.alpha, pair.beta.frobenius(j)).raw
+                for j in range(g)
+            ]
         else:
             for v in spec.values:
                 if v.ctx != ctx:
                     raise ContextMismatchError("table values are not in the root context")
-            grid = [[None] * n for _ in range(m)]
-            L = m // math.gcd(m, n) * n
-            for j0, v in enumerate(spec.values):
-                raw = v.raw
-                for t in range(L):
-                    grid[t % m][(j0 + t) % n] = raw
-                    raw = ctx._frob(raw, 1)
-            self.vals = tuple(tuple(row) for row in grid)
-
-    @staticmethod
-    def _phi_grid(phi, pair):
-        # phi may have any shape; only the grid follows the pair degrees
-        ctx = pair.ctx
-        m, n = pair.m, pair.n
-        pm, pn = phi.m, phi.n
-        zl = phi.ctx._zero_raw
-        rows = phi.rows
+            reps = [v.raw for v in spec.values]
+        # the value at (t, j0 + t) is the q^t-th power of the value at (0, j0)
         grid = [[None] * n for _ in range(m)]
-        if phi.basis == MONOMIAL:
-            for j, yraw in enumerate(pair.betas):
-                ypow = [ctx._one_raw]
-                for _ in range(1, pn):
-                    ypow.append(ctx._mul(ypow[-1], yraw))
-                chi_vals = []
-                for i in range(pm):
-                    acc = ctx._zero_raw
-                    for b, c in enumerate(rows[i]):
-                        if c != zl:
-                            acc = ctx._add(acc, ctx._scalar_mul(c, ypow[b]))
-                    chi_vals.append(acc)
-                for i, xraw in enumerate(pair.alphas):
-                    acc = ctx._zero_raw
-                    for a in range(pm - 1, -1, -1):
-                        acc = ctx._mul(acc, xraw)
-                        acc = ctx._add(acc, chi_vals[a])
-                    grid[i][j] = acc
-        else:
-            prods = [
-                [ctx._mul(a, b) for b in pair.betas] for a in pair.alphas
-            ]
-            for i in range(m):
-                for j in range(n):
-                    acc = ctx._zero_raw
-                    for a in range(pm):
-                        row = rows[a]
-                        pa = prods[(i + a) % m]
-                        for b in range(pn):
-                            c = row[b]
-                            if c != zl:
-                                acc = ctx._add(acc, ctx._scalar_mul(c, pa[(j + b) % n]))
-                    grid[i][j] = acc
-        return tuple(tuple(r) for r in grid)
+        for j0, raw in enumerate(reps):
+            for t in range(m // g * n):
+                grid[t % m][(j0 + t) % n] = raw
+                raw = ctx._frob(raw, 1)
+        self.vals = tuple(tuple(row) for row in grid)
 
     def value(self, i, j):
         """alpha^(q^i) diamond beta^(q^j)."""

@@ -1092,11 +1092,6 @@ def extension_field(base, degree, *, rng=None, seed=DEFAULT_SEED):
 # Free functions on elements and polynomials.
 
 
-def frobenius(a, k=1):
-    """a^(q^k) where q is the order of the coefficient field below a."""
-    return a.frobenius(k)
-
-
 def _orbit(ctx, raw):
     """The distinct conjugates raw, raw^q, raw^(q^2), ... over the next-lower field."""
     conjs = [raw]
@@ -1287,11 +1282,6 @@ class Embedding:
         if coords is None:
             raise ValueError("element is not in the embedded subfield")
         return FieldElement._wrap(self.small, self.small._pack(coords))
-
-    def map_poly(self, f):
-        if f.ctx != self.small:
-            raise ContextMismatchError("polynomial is not over the small field")
-        return Polynomial._wrap(self.big, tuple(self(FieldElement._wrap(self.small, c)).raw for c in f.coeffs))
 
     def project_poly(self, f):
         if f.ctx != self.big:

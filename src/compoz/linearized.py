@@ -30,6 +30,7 @@ from .ff import (
     distinct_prime_factors,
     extension_field,
 )
+from .orbits import nu_p
 
 
 @dataclass(frozen=True)
@@ -274,16 +275,6 @@ def twisted_product_phi(ctx, params):
     return PhiPoly.build(ctx, rows, LINEARIZED)
 
 
-def _nu2(x):
-    if x == 0:
-        return math.inf
-    v = 0
-    while x % 2 == 0:
-        x //= 2
-        v += 1
-    return v
-
-
 def twisted_normal_predicate(params):
     """Closed form for normality of the twisted value on normal pairs.
 
@@ -299,9 +290,10 @@ def twisted_normal_predicate(params):
     m, n = params.m, params.n
     if m % 2 == 1 and n % 2 == 1:
         return True
+    # a zero twist has valuation infinity, so its bound holds
     if m % 2 == 0:
-        return _nu2(m) <= _nu2(params.k)
-    return _nu2(n) <= _nu2(params.l)
+        return params.k == 0 or nu_p(2, m) <= nu_p(2, params.k)
+    return params.l == 0 or nu_p(2, n) <= nu_p(2, params.l)
 
 
 def shifted_sum_is_normal(alpha, beta, d=0):

@@ -2,10 +2,12 @@
 
 Everything here re-derives its answers from definitions: factoring by trial
 division over all monic candidates, cancellation by checking every
-conjugate pair against every admissible shift, normality through the
-gcd characterization instead of the rank test.  Agreement with the main
-modules is evidence precisely because the code paths are separate; only
-the base field arithmetic is shared.
+conjugate pair against every admissible shift on a value grid whose
+conjugates come from repeated q-th powers and whose phi values are summed
+term by term at every cell, normality through the gcd characterization
+instead of the rank test.  Agreement with the main modules is evidence
+precisely because the code paths are separate; only the base field
+arithmetic is shared.
 """
 
 from __future__ import annotations
@@ -79,73 +81,51 @@ def naive_factor(f):
 
 
 def _grid_from_scratch(spec, pair):
-    # value grid recomputed with plain loops: iterated powers for phi
-    # evaluation, an orbit walk by repeated q-th powers for tables
+    # value grid recomputed with plain loops: conjugates and orbit walks by
+    # repeated q-th powers, phi by summing every term at every cell
     ctx = pair.ctx
     m, n = pair.m, pair.n
     q = ctx.subfield_order
+
+    def q_powers(raw, count):
+        out = [raw]
+        for _ in range(1, count):
+            out.append(ctx._pow(out[-1], q))
+        return out
+
     vals = [[None] * n for _ in range(m)]
     if spec.kind == "phi":
         phi = spec.phi
         pm, pn = phi.m, phi.n
         zl = phi.ctx._zero_raw
+        alphas = q_powers(pair.alpha.raw, m)
+        betas = q_powers(pair.beta.raw, n)
         if phi.basis == MONOMIAL:
-            xp = []
-            for a in pair.alphas:
-                row = [ctx._one_raw]
-                for _ in range(1, pm):
-                    row.append(ctx._mul(row[-1], a))
-                xp.append(row)
-            yp = []
-            for b in pair.betas:
-                row = [ctx._one_raw]
-                for _ in range(1, pn):
-                    row.append(ctx._mul(row[-1], b))
-                yp.append(row)
-            for i in range(m):
-                for j in range(n):
-                    acc = ctx._zero_raw
-                    for a in range(pm):
-                        for b in range(pn):
-                            c = phi.rows[a][b]
-                            if c != zl:
-                                acc = ctx._add(
-                                    acc,
-                                    ctx._scalar_mul(c, ctx._mul(xp[i][a], yp[j][b])),
-                                )
-                    vals[i][j] = acc
+            def terms(raw, count):
+                out = [ctx._one_raw]
+                for _ in range(1, count):
+                    out.append(ctx._mul(out[-1], raw))
+                return out
         else:
-            xq = []
-            for a in pair.alphas:
-                row = [a]
-                for _ in range(1, pm):
-                    row.append(ctx._pow(row[-1], q))
-                xq.append(row)
-            yq = []
-            for b in pair.betas:
-                row = [b]
-                for _ in range(1, pn):
-                    row.append(ctx._pow(row[-1], q))
-                yq.append(row)
-            for i in range(m):
-                for j in range(n):
-                    acc = ctx._zero_raw
-                    for a in range(pm):
-                        for b in range(pn):
-                            c = phi.rows[a][b]
-                            if c != zl:
-                                acc = ctx._add(
-                                    acc,
-                                    ctx._scalar_mul(c, ctx._mul(xq[i][a], yq[j][b])),
-                                )
-                    vals[i][j] = acc
+            terms = q_powers
+        xs = [terms(a, pm) for a in alphas]
+        ys = [terms(b, pn) for b in betas]
+        for i in range(m):
+            for j in range(n):
+                acc = ctx._zero_raw
+                for a in range(pm):
+                    for b in range(pn):
+                        c = phi.rows[a][b]
+                        if c != zl:
+                            acc = ctx._add(
+                                acc, ctx._scalar_mul(c, ctx._mul(xs[i][a], ys[j][b]))
+                            )
+                vals[i][j] = acc
     else:
         L = m // math.gcd(m, n) * n
         for j0, v in enumerate(spec.values):
-            raw = v.raw
-            for t in range(L):
+            for t, raw in enumerate(q_powers(v.raw, L)):
                 vals[t % m][(j0 + t) % n] = raw
-                raw = ctx._pow(raw, q)
     if any(v is None for row in vals for v in row):
         raise RuntimeError("value grid has holes; orbit bookkeeping is broken")
     return vals

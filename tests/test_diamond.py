@@ -5,6 +5,7 @@ import pytest
 
 import compoz as cz
 from compoz.ff import project_poly_to_base
+from compoz.oracle import _grid_from_scratch
 
 
 def test_phi_build_validation(F3):
@@ -75,7 +76,7 @@ def test_equivariance_phi_and_table(F3):
     assert bd.value(0, 0) == values[0] and bd.value(0, 1) == values[1]
 
 
-def test_table_reproduces_phi_grid(F2):
+def test_table_reproduces_phi_values(F2):
     rng = random.Random(5)
     for m, n in ((2, 3), (4, 6), (3, 3)):
         f = cz.random_irreducible(F2, m, rng=rng)
@@ -97,6 +98,46 @@ def test_phi_evaluate_matches_grid(F3):
         a2 = pair.alpha.frobenius(2)
         b1 = pair.beta.frobenius(1)
         assert phi.evaluate(a2, b1) == bd.value(2, 1)
+
+
+@pytest.mark.parametrize(
+    "field, m, n",
+    [("2", 3, 4), ("3", 2, 5), ("2", 4, 6), ("3", 3, 6), ("2^2:1,1,1", 3, 2), ("2^2:1,1,1", 2, 4)],
+)
+def test_grid_matches_oracle(field, m, n):
+    # every cell of the bound grid against the independent evaluator, for phi
+    # shapes equal to, smaller than and larger than (m, n) and a table spec
+    base = cz.parse_field_spec(field)
+    rng = random.Random(f"{field} {m} {n}")
+    f = cz.random_irreducible(base, m, rng=rng)
+    g = cz.random_irreducible(base, n, rng=rng)
+    pair = cz.RootPair.build(f, g, seed=1)
+    specs = [
+        cz.DiamondSpec.from_phi(cz.PhiPoly.random(base, pm, pn, rng, basis=basis))
+        for basis in (cz.MONOMIAL, cz.LINEARIZED)
+        for pm, pn in ((m, n), (m - 1, 1), (m + 1, n + 2))
+    ]
+    specs.append(
+        cz.DiamondSpec.from_table(
+            m, n, [pair.ctx.random_element(rng) for _ in range(math.gcd(m, n))]
+        )
+    )
+    for spec in specs:
+        bd = spec.bind(pair)
+        ref = _grid_from_scratch(spec, pair)
+        assert [list(row) for row in bd.vals] == ref
+
+
+def test_bind_rejects_phi_over_another_base(F3, small):
+    phi = cz.PhiPoly.build(F3, ((0, 0, 0), (0, 1, 1)))
+    with pytest.raises(cz.ContextMismatchError):
+        cz.DiamondSpec.from_phi(phi).bind(small.pair)
+    gf4 = cz.parse_field_spec("2^2:1,1,1")
+    f = cz.random_irreducible(gf4, 2, seed=1)
+    g = cz.random_irreducible(gf4, 3, seed=2)
+    pair = cz.RootPair.build(f, g)
+    with pytest.raises(cz.ContextMismatchError):
+        cz.DiamondSpec.from_phi(small.phi).bind(pair)
 
 
 def test_table_validation(F3):
@@ -260,21 +301,20 @@ def test_factor_report_doc_is_sorted(worked):
 
 
 def test_rank_decomposition_worked(worked):
-    sep = cz.rank_decomposition(worked.phi_cc)
-    assert sep.rank == 2
-    assert len(sep.us) == len(sep.vs) == 2
+    us, vs = cz.rank_decomposition(worked.phi_cc)
+    assert len(us) == len(vs) == 2
 
 
 def test_rank_decomposition_rank_one(F3):
     phi = cz.PhiPoly.build(F3, [(1, 2, 0), (2, 4 % 3, 0)])
-    sep = cz.rank_decomposition(phi)
-    assert sep.rank == 1
+    us, vs = cz.rank_decomposition(phi)
+    assert len(us) == len(vs) == 1
 
 
 def test_rank_decomposition_zero(F3):
     phi = cz.PhiPoly.build(F3, [(0, 0), (0, 0)])
-    sep = cz.rank_decomposition(phi)
-    assert sep.rank == 0 and sep.us == () and sep.vs == ()
+    us, vs = cz.rank_decomposition(phi)
+    assert us == () and vs == ()
 
 
 def test_rank_decomposition_random_independence(F2):
@@ -283,12 +323,13 @@ def test_rank_decomposition_random_independence(F2):
 
     for _ in range(10):
         phi = cz.PhiPoly.random(F2, 4, 5, rng)
-        sep = cz.rank_decomposition(phi)
-        if sep.rank:
+        us, vs = cz.rank_decomposition(phi)
+        assert len(us) == len(vs)
+        if us:
             u_rows = tuple(
-                tuple(u.coefficient(i).raw for i in range(4)) for u in sep.us
+                tuple(u.coefficient(i).raw for i in range(4)) for u in us
             )
-            assert linalg.mat_rank(F2, u_rows) == sep.rank
+            assert linalg.mat_rank(F2, u_rows) == len(us)
 
 
 # -- intermediate factorization -----------------------------------------------------
