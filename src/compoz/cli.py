@@ -54,9 +54,10 @@ from .linearized import (
 )
 
 
-# Largest field order q^lcm(m, n) that compose, check-cc and factor accept.
-# lcm(m, n) = 100 over GF(3) (about 2^159) stays well inside; larger inputs
-# would build fields whose root finding runs without practical bound.
+# Largest field order that compose, check-cc and factor (q^lcm(m, n)) and
+# staircase (q^(m n)) accept.  lcm(m, n) = 100 over GF(3) (about 2^159)
+# stays well inside; larger inputs would build fields whose root finding
+# runs without practical bound.
 MAX_FIELD_ORDER = 2**256
 
 
@@ -76,6 +77,16 @@ def _load_phi(ctx, value):
     return PhiPoly.from_text(ctx, _read_arg(value))
 
 
+def _check_size_cap(base, degree, what):
+    """Refuse GF(q^degree) over base past MAX_FIELD_ORDER; what names the bound."""
+    cap_bits = MAX_FIELD_ORDER.bit_length() - 1
+    # q >= 2, so degree > cap_bits exceeds the cap without forming q^degree
+    if degree > cap_bits or base.order**degree > MAX_FIELD_ORDER:
+        raise ValueError(
+            f"GF({base.order}^{degree}) exceeds the field size cap 2^{cap_bits} on {what}"
+        )
+
+
 def _load_instance(args):
     """Base field, f, g and phi of a compose / check-cc / factor run.
 
@@ -86,14 +97,11 @@ def _load_instance(args):
     f = _load_poly(base, args.f)
     g = _load_poly(base, args.g)
     if f.degree and g.degree:
-        lcm = math.lcm(f.degree, g.degree)
-        cap_bits = MAX_FIELD_ORDER.bit_length() - 1
-        # q >= 2, so lcm > cap_bits exceeds the cap without forming q^lcm
-        if lcm > cap_bits or base.order**lcm > MAX_FIELD_ORDER:
-            raise ValueError(
-                f"GF({base.order}^{lcm}) exceeds the field size cap 2^{cap_bits} "
-                "on q^lcm(m, n), f of degree m and g of degree n"
-            )
+        _check_size_cap(
+            base,
+            math.lcm(f.degree, g.degree),
+            "q^lcm(m, n), f of degree m and g of degree n",
+        )
     return base, f, g, _load_phi(base, args.phi)
 
 
@@ -259,14 +267,15 @@ def _cmd_staircase(args):
     phi = _load_phi(base, args.phi)
     if phi.basis != LINEARIZED:
         raise ValueError("staircase needs a linearized-basis phi")
+    st = staircase(phi)  # rejects non-coprime dimensions before any field is built
     m, n = phi.m, phi.n
+    _check_size_cap(base, m * n, "q^(m n), phi of shape m x n")
     ctx_m = extension_field(base, m, seed=args.seed)
     ctx_n = extension_field(base, n, seed=args.seed)
     rng = random.Random(args.seed)
     alpha = random_normal_element(ctx_m, rng=rng)
     beta = random_normal_element(ctx_n, rng=rng)
     a, b = embed_pair(alpha, beta, seed=args.seed)
-    st = staircase(phi)
     verdict = staircase_normal_test(phi, a, b)
     direct = is_normal(evaluate_bilinear(phi, a, b))
     if verdict != direct:

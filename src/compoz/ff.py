@@ -1,10 +1,10 @@
 """Arithmetic for finite-field towers and dense univariate polynomials.
 
-A FieldContext describes either a prime field GF(p) or an extension of a
-lower context by a monic irreducible modulus.  Towers are limited to two
-extension levels above GF(p), i.e. GF(p) -> GF(p^e) -> GF((p^e)^m).
-Requesting an extension of a level-two context flattens it first (see
-FieldContext.flatten).
+A FieldContext is either a prime field GF(p) or, above it, the quotient
+lower[X]/(modulus) of a lower context by a monic modulus, at any depth:
+GF(p) -> GF(p^e) -> GF((p^e)^m) -> ... .  Extending any context, however
+deep, builds the next level on top of it (FieldContext.extension), so the
+result's lower context is always the field that was extended.
 
 Raw value representation (internal):
 
@@ -19,15 +19,17 @@ Raw value representation (internal):
     number of big-int operations, and a product also by a Barrett
     reduction mod f.  Inversion is extended Euclid on packed polynomials.
     Every p runs the same code; p only changes the constants.
-  * depth 2: tuple of depth-1 raws, fixed length = degree
+  * depth >= 2: tuple of lower raws, fixed length = degree; products and
+    inverses run on the raw polynomial helpers over the lower context
+    (_pmul, _pmod, _pinvmod)
 
 FieldContext._pack and _unpack are the only code that converts between a
 raw value and its coordinates (text formats, coords(), the canonical index
-of _nth / _to_int, embeddings, flattening and linear algebra over the
-coordinates all go through them).  Since a raw int of a depth-1 context
-is not the integer it looks like, internal code builds elements and
-polynomials from raw values with FieldElement._wrap / Polynomial._from_raw,
-never through the coercing constructors.
+of _nth / _to_int, embeddings and linear algebra over the coordinates all
+go through them).  Since a raw int of a depth-1 context is not the integer
+it looks like, internal code builds elements and polynomials from raw
+values with FieldElement._wrap / Polynomial._from_raw, never through the
+coercing constructors.
 
 Arithmetic in a quotient ring K[X]/(h) is always done in the context
 FieldContext(p, lower=K, modulus=h) on raw values as above, whether h is
@@ -49,7 +51,8 @@ Text formats (also used by the CLI):
   * polynomial: comma-separated coordinates ascending, "2,1,0,1" is
     2 + X + X^3 over GF(3)
   * extension coordinates inside a coefficient: '/'-separated, with ':'
-    one level further down ("1/0/2/0", "1:0/0:2")
+    one level further down ("1/0/2/0", "1:0/0:2"); these two separators
+    cover towers of depth <= 2
   * field spec: "p" or "p^e:modulus", e.g. "2^2:1,1,1" for GF(4)
 """
 
@@ -221,11 +224,11 @@ def _pdivmod(K, a, b):
         return _pstrip(K, q), _pstrip(K, r[:db])
     z = K._zero_raw
     lead = b[-1]
-    inv = K._one_raw if lead == K._one_raw else K._inv(lead)
+    inv = None if lead == K._one_raw else K._inv(lead)  # None: b is monic
     r = list(a)
     q = [z] * (da - db + 1)
     for k in range(da - db, -1, -1):
-        c = K._mul(r[k + db], inv)
+        c = r[k + db] if inv is None else K._mul(r[k + db], inv)
         if c != z:
             q[k] = c
             for i in range(db):
@@ -294,7 +297,6 @@ class FieldContext:
         "_zero_raw",
         "_one_raw",
         "_hash",
-        "_flat",
         "_frob_tables",
         # packed kernel of a depth-1 context (see the module docstring)
         "_w",
@@ -315,7 +317,6 @@ class FieldContext:
         self.lower = lower
         self.modulus = modulus
         self._hash = hash((p, modulus, lower))
-        self._flat = None
         self._frob_tables = {}
         self._zero_raw = 0
         self._one_raw = 1 % p
@@ -401,7 +402,7 @@ class FieldContext:
             return str(self.p)
         if self.depth == 1:
             return f"{self.p}^{self.degree}:{self.modulus_poly()}"
-        raise ValueError("no spec string for a two-level tower")
+        raise ValueError("no spec string for a tower above depth 1")
 
     # -- coordinates ---------------------------------------------------------
 
@@ -486,23 +487,7 @@ class FieldContext:
             t = red(a * b)
             q = red((t >> self._hi_shift) * self._mu) >> self._q_shift
             return red((t + q * self._xk) & self._low)
-        d = self.degree
-        body = self.modulus[:-1]
-        z = lo._zero_raw
-        t = [z] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai != z:
-                for j, bj in enumerate(b):
-                    if bj != z:
-                        t[i + j] = lo._add(t[i + j], lo._mul(ai, bj))
-        for k in range(2 * d - 2, d - 1, -1):
-            c = t[k]
-            if c != z:
-                nk = k - d
-                for i, mi in enumerate(body):
-                    if mi != z:
-                        t[nk + i] = lo._sub(t[nk + i], lo._mul(c, mi))
-        return tuple(t[:d])
+        return self._pack(_pmod(lo, _pmul(lo, a, b), self.modulus))
 
     def _scalar_mul(self, c, a):
         """Multiply by a scalar from the next-lower level."""
@@ -671,10 +656,8 @@ class FieldContext:
     def extension(self, modulus, *, check=True):
         """Extend by a monic irreducible modulus over this field.
 
-        A level-two context is flattened to a fresh single extension of
-        GF(p) before extending, so the result is again at most two levels
-        deep.  Note that flattening changes the Frobenius base field of the
-        result to GF(p^(e*m)).
+        The result is FieldContext(p, lower=self, modulus) at any depth, so
+        its lower context is this field and its Frobenius fixes this field.
         """
         f = modulus if isinstance(modulus, Polynomial) else Polynomial(self, modulus)
         if f.ctx != self:
@@ -686,80 +669,7 @@ class FieldContext:
             raise ValueError("modulus must be monic")
         if check and d > 1 and not is_irreducible(f):
             raise ValueError("modulus is reducible")
-        if self.depth >= 2:
-            flat, to_flat, _ = self.flatten()
-            g = f.map_coefficients(to_flat, ctx=flat)
-            return flat.extension(g, check=False)
         return FieldContext(self.p, lower=self, modulus=f.coeffs)
-
-    def flatten(self):
-        """Rebuild a level-two field as one extension of GF(p).
-
-        Returns (flat_ctx, to_flat, from_flat) where the two maps are
-        mutually inverse field isomorphisms on FieldElement values.
-        """
-        if self.depth < 2:
-            raise ValueError("only two-level towers can be flattened")
-        if self._flat is None:
-            p = self.p
-            em = self.degree * self.lower.degree
-            prime = prime_field(p)
-
-            def p_degree(raw):
-                r, b = 1, self._pow(raw, p)
-                while b != raw:
-                    b = self._pow(b, p)
-                    r += 1
-                return r
-
-            gen = None
-            for i in range(2, self.order):
-                cand = self._nth(i)
-                if p_degree(cand) == em:
-                    gen = cand
-                    break
-            conjs = []
-            b = gen
-            for _ in range(em):
-                conjs.append(b)
-                b = self._pow(b, p)
-            poly = _pfromroots(self, conjs)
-
-            lower = self.lower
-
-            def flat_vec(raw):
-                return tuple(c for x in raw for c in lower._unpack(x))
-
-            def prime_const(raw):
-                v = flat_vec(raw)
-                if any(v[1:]):
-                    raise RuntimeError("flattening produced a non-prime coefficient")
-                return v[0]
-
-            flat = prime.extension(
-                Polynomial(prime, [prime_const(c) for c in poly]), check=False
-            )
-            pows = [self._one_raw]
-            for _ in range(1, em):
-                pows.append(self._mul(pows[-1], gen))
-            solver = LinearSolver(prime, [flat_vec(w) for w in pows])
-            self._flat = (flat, pows, solver, flat_vec)
-        flat, pows, solver, flat_vec = self._flat
-
-        def to_flat(a):
-            coords = solver.solve(flat_vec(a.raw if isinstance(a, FieldElement) else a))
-            if coords is None:
-                raise RuntimeError("flattening solve failed")
-            return FieldElement._wrap(flat, flat._pack(coords))
-
-        def from_flat(a):
-            acc = self._zero_raw
-            for c, w in zip(flat._unpack(a.raw), pows):
-                if c:
-                    acc = self._add(acc, self._mul(self._coerce(c), w))
-            return FieldElement._wrap(self, acc)
-
-        return flat, to_flat, from_flat
 
 
 class FieldElement:
@@ -1166,24 +1076,12 @@ def evaluate_in_extension(f, x):
     ext = x.ctx
     if ext.lower is None or ext.lower != f.ctx:
         raise ContextMismatchError("point must lie in an extension of the coefficient field")
-    acc = ext._zero_raw
-    zl = f.ctx._zero_raw
-    for c in reversed(f.coeffs):
-        acc = ext._mul(acc, x.raw)
-        if c != zl:
-            acc = ext._add(acc, ext._from_base_raw(c))
-    return FieldElement._wrap(ext, acc)
-
-
-def embed_poly_from_base(f, ext):
-    """Reinterpret a polynomial over the base field as one over the extension."""
-    if ext.lower is None or ext.lower != f.ctx:
-        raise ContextMismatchError("not an extension of the coefficient field")
-    return Polynomial._wrap(ext, tuple(ext._from_base_raw(c) for c in f.coeffs))
+    cs = [ext._from_base_raw(c) for c in f.coeffs]
+    return FieldElement._wrap(ext, _peval(ext, cs, x.raw))
 
 
 def project_poly_to_base(f):
-    """Inverse of embed_poly_from_base; fails if any coefficient is not in the base."""
+    """f with every coefficient moved down to the base field; fails if one is not in it."""
     ext = f.ctx
     if ext.lower is None:
         raise ValueError("polynomial is already over a bottom-level field")
@@ -1212,7 +1110,8 @@ def find_root(f, ext, *, seed=DEFAULT_SEED):
     rng = random.Random(seed)
     Q = ext.order
     # ring is ext[X]/(h) for the current factor h of f; a proper gcd shrinks h
-    ring = FieldContext(ext.p, lower=ext, modulus=embed_poly_from_base(f, ext).coeffs)
+    modulus = tuple(ext._from_base_raw(c) for c in f.coeffs)
+    ring = FieldContext(ext.p, lower=ext, modulus=modulus)
     while ring.degree > 1:
         u = ring._pack([ext._random_raw(rng) for _ in range(ring.degree)])
         if u == ring._zero_raw:

@@ -166,6 +166,16 @@ def test_usage_errors(capsys):
             capsys, command, "--q", "3", "--f", big_f, "--g", "1,0,1", "--phi", PHI_CC
         )
         assert code == 2 and out == "" and "size cap" in err
+    # staircase: 3^165 > 2^256 is refused, and so are non-coprime dimensions
+    code, out, err = run(
+        capsys, "staircase", "--q", "3",
+        "--phi", "3 11 15 linearized;" + ";".join(["1" + " 0" * 14] * 11),
+    )
+    assert code == 2 and out == "" and "size cap" in err
+    code, out, err = run(
+        capsys, "staircase", "--q", "2", "--phi", "2 2 4 linearized;1 0 0 0;0 0 0 0"
+    )
+    assert code == 2 and out == "" and "coprime" in err
 
 
 def test_element_text_via_extension_field(capsys):
