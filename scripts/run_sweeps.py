@@ -4,6 +4,9 @@
 Examples:
     python3 scripts/run_sweeps.py routes --fields 2 3 --pairs 2,3 3,4 --count 200
     python3 scripts/run_sweeps.py factors --fields 2 --pairs 4,6 --count 8 --tables 8
+
+Exit codes: 0 when every instance agrees, 1 on any disagreement or
+violation, 2 on malformed input.
 """
 
 import argparse
@@ -38,12 +41,16 @@ def main(argv=None):
         table_count=args.tables,
         seed=args.seed,
     )
-    if args.which == "routes":
-        report = cz.run_route_agreement_sweep(cfg)
-        bad = report["total_disagreements"]
-    else:
-        report = cz.run_factor_structure_sweep(cfg)
-        bad = report["total_violations"]
+    try:
+        if args.which == "routes":
+            report = cz.run_route_agreement_sweep(cfg)
+            bad = report["total_disagreements"]
+        else:
+            report = cz.run_factor_structure_sweep(cfg)
+            bad = report["total_violations"]
+    except ValueError as exc:  # a bad field spec, a non-coprime pair, the size cap
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0 if bad == 0 else 1
 

@@ -60,6 +60,10 @@ from .linearized import (
 # runs without practical bound.
 MAX_FIELD_ORDER = 2**256
 
+# Largest --count that sample-phi accepts.  Each sample is a rejection loop
+# over random phi matrices, so the count bounds the running time.
+MAX_SAMPLE_COUNT = 1000
+
 
 def _read_arg(value):
     """Inline string or, when it names an existing file, the file's content."""
@@ -214,6 +218,8 @@ def _cmd_factor(args):
 
 
 def _cmd_sample_phi(args):
+    if not 1 <= args.count <= MAX_SAMPLE_COUNT:
+        raise ValueError(f"--count must be between 1 and {MAX_SAMPLE_COUNT}, got {args.count}")
     base = parse_field_spec(args.q)
     f = _load_poly(base, args.f)
     g = _load_poly(base, args.g)

@@ -52,7 +52,9 @@ Text formats (also used by the CLI):
     2 + X + X^3 over GF(3)
   * extension coordinates inside a coefficient: '/'-separated, with ':'
     one level further down ("1/0/2/0", "1:0/0:2"); these two separators
-    cover towers of depth <= 2
+    cover towers of depth <= 2.  Deeper values have no text format; their
+    str() and repr() list the coordinates over the next-lower level in
+    brackets, "[1:0/0:1, 0:1/1:1]".
   * field spec: "p" or "p^e:modulus", e.g. "2^2:1,1,1" for GF(4)
 """
 
@@ -789,10 +791,10 @@ class FieldElement:
         return tuple(FieldElement._wrap(self.ctx.lower, c) for c in self.ctx._unpack(self.raw))
 
     def __str__(self):
-        return element_to_text(self)
+        return _raw_to_display(self.ctx, self.raw)
 
     def __repr__(self):
-        return f"FieldElement({self.ctx.describe()}, '{element_to_text(self)}')"
+        return f"FieldElement({self.ctx.describe()}, '{self}')"
 
 
 class Polynomial:
@@ -975,10 +977,10 @@ class Polynomial:
         return Polynomial(ctx, images)
 
     def __str__(self):
-        return poly_to_text(self)
+        return ",".join(_raw_to_display(self.ctx, c) for c in self.coeffs) or "0"
 
     def __repr__(self):
-        return f"Polynomial({self.ctx.describe()}, '{poly_to_text(self)}')"
+        return f"Polynomial({self.ctx.describe()}, '{self}')"
 
 
 # ---------------------------------------------------------------------------
@@ -1057,17 +1059,37 @@ def is_irreducible(f):
     return w == x
 
 
+def _has_small_factor(f, steps):
+    """Whether gcd(X^(Q^j) - X, f) != 1 for some j <= steps (Ben-Or), in
+    the same quotient ring K[X]/(f) as is_irreducible."""
+    K = f.ctx
+    ring = FieldContext(K.p, lower=K, modulus=f.coeffs)
+    x_poly = (K._zero_raw, K._one_raw)
+    w = ring._gen_raw()
+    for _ in range(steps):
+        w = ring._pow(w, K.order)
+        if len(_pgcd(K, _psub(K, ring._unpack(w), x_poly), f.coeffs)) != 1:
+            return True
+    return False
+
+
 def random_irreducible(ctx, degree, *, rng=None, seed=DEFAULT_SEED):
-    """Seeded rejection sampling of a monic irreducible of the given degree."""
+    """Seeded rejection sampling of a monic irreducible of the given degree.
+
+    A candidate with a factor of degree <= min(6, degree / 2) is rejected
+    by a short sieve before the full test; the sieve draws nothing and
+    changes no verdict, so the result is the same as without it.
+    """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if rng is None:
         rng = random.Random(seed)
     one = ctx._one_raw
+    steps = min(6, degree // 2)
     while True:
         coeffs = [ctx._random_raw(rng) for _ in range(degree)] + [one]
         f = Polynomial._wrap(ctx, tuple(coeffs))
-        if degree == 1 or is_irreducible(f):
+        if degree == 1 or (not _has_small_factor(f, steps) and is_irreducible(f)):
             return f
 
 
@@ -1088,32 +1110,13 @@ def project_poly_to_base(f):
     return Polynomial._wrap(ext.lower, tuple(ext._to_base_raw(c) for c in f.coeffs))
 
 
-def find_root(f, ext, *, seed=DEFAULT_SEED):
-    """The root of f in the extension field ext with the smallest to_int index.
-
-    f must be monic irreducible over ext's base field with degree dividing
-    ext's degree.  Seeded gcd splitting (Cantor-Zassenhaus) isolates one
-    root; the smallest-index member of its conjugate orbit, which holds
-    every root of f, is returned.  The result therefore does not depend on
-    seed, which only steers the random splits and so the running time.
-    """
-    base = f.ctx
-    if ext.lower is None or ext.lower != base:
-        raise ContextMismatchError("target is not an extension of the coefficient field")
-    m = f.degree
-    if m is None or m < 1 or not f.is_monic:
-        raise ValueError("expected a monic polynomial of degree >= 1")
-    if ext.degree % m != 0:
-        raise ValueError(f"degree {m} does not divide extension degree {ext.degree}")
-    if not is_irreducible(f):
-        raise ValueError("polynomial is reducible")
-    rng = random.Random(seed)
-    Q = ext.order
-    # ring is ext[X]/(h) for the current factor h of f; a proper gcd shrinks h
-    modulus = tuple(ext._from_base_raw(c) for c in f.coeffs)
-    ring = FieldContext(ext.p, lower=ext, modulus=modulus)
+def _split_root(K, f, rng):
+    """One root in K of f (monic, raw coefficients), a product of distinct
+    linear factors over K, by seeded gcd splitting (Cantor-Zassenhaus)."""
+    Q = K.order
+    ring = FieldContext(K.p, lower=K, modulus=tuple(f))
     while ring.degree > 1:
-        u = ring._pack([ext._random_raw(rng) for _ in range(ring.degree)])
+        u = ring._pack([K._random_raw(rng) for _ in range(ring.degree)])
         if u == ring._zero_raw:
             continue
         if Q % 2:
@@ -1123,10 +1126,54 @@ def find_root(f, ext, *, seed=DEFAULT_SEED):
             for _ in range(Q.bit_length() - 2):
                 s = ring._mul(s, s)
                 w = ring._add(w, s)
-        g = _pgcd(ext, ring.modulus, _pstrip(ext, ring._unpack(w)))
+        g = _pgcd(K, ring.modulus, _pstrip(K, ring._unpack(w)))
         if 1 < len(g) <= ring.degree:
-            ring = FieldContext(ext.p, lower=ext, modulus=g)
-    root = ext._neg(ring.modulus[0])
+            ring = FieldContext(K.p, lower=K, modulus=g)
+    return K._neg(ring.modulus[0])
+
+
+def find_root(f, ext, *, seed=DEFAULT_SEED):
+    """The root of f in the extension field ext with the smallest to_int index.
+
+    f must be monic irreducible over ext's base field GF(q), of a degree m
+    dividing ext's degree L.  Its roots lie in GF(q^m), so for 1 < m < L
+    one is isolated there (Lenstra, Math. Comp. 56, 1991): gamma, the trace
+    to GF(q^m) of a random z redrawn until gamma has m conjugates, has a
+    minimal polynomial h; f is split in GF(q)[Y]/(h) and the root mapped to
+    ext by Y -> gamma.  For m = 1 or m = L, f is split in ext.  The
+    smallest-index conjugate is returned, so the result depends neither on
+    the field that isolated the root nor on seed, which steers the draws.
+    """
+    base = f.ctx
+    if ext.lower is None or ext.lower != base:
+        raise ContextMismatchError("target is not an extension of the coefficient field")
+    m = f.degree
+    if m is None or m < 1 or not f.is_monic:
+        raise ValueError("expected a monic polynomial of degree >= 1")
+    L = ext.degree
+    if L % m != 0:
+        raise ValueError(f"degree {m} does not divide extension degree {L}")
+    if not is_irreducible(f):
+        raise ValueError("polynomial is reducible")
+    rng = random.Random(seed)
+    f_ext = [ext._from_base_raw(c) for c in f.coeffs]
+    if m == 1 or m == L:
+        root = _split_root(ext, f_ext, rng)
+    else:
+        while True:
+            z = gamma = ext._random_raw(rng)
+            for _ in range(L // m - 1):
+                z = ext._frob(z, m)
+                gamma = ext._add(gamma, z)
+            conjugates = _orbit(ext, gamma)
+            if len(conjugates) == m:
+                break
+        h = tuple(ext._to_base_raw(c) for c in _pfromroots(ext, conjugates))
+        small = FieldContext(ext.p, lower=base, modulus=h)
+        r = _split_root(small, [small._from_base_raw(c) for c in f.coeffs], rng)
+        root = _peval(ext, [ext._from_base_raw(c) for c in small._unpack(r)], gamma)
+        if _peval(ext, f_ext, root) != ext._zero_raw:
+            raise RuntimeError("the root found in the subfield is not a root of f")
     return FieldElement._wrap(ext, min(_orbit(ext, root), key=ext._to_int))
 
 
@@ -1236,6 +1283,14 @@ def _raw_to_text(ctx, raw, level):
         raise ValueError("tower too deep for the text format")
     sep = _COORD_SEPS[level]
     return sep.join(_raw_to_text(ctx.lower, c, level + 1) for c in ctx._unpack(raw))
+
+
+def _raw_to_display(ctx, raw):
+    """The text format up to depth 2; deeper, the list of coordinates over
+    the next-lower level, each displayed the same way ("[1:0/0:1, 0:1/1:1]")."""
+    if ctx.depth <= len(_COORD_SEPS):
+        return _raw_to_text(ctx, raw, 0)
+    return "[" + ", ".join(_raw_to_display(ctx.lower, c) for c in ctx._unpack(raw)) + "]"
 
 
 def element_from_text(ctx, s, _level=0):

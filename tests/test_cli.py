@@ -1,7 +1,12 @@
 import json
+from pathlib import Path
 
-from compoz.cli import main
+import pytest
+
+from compoz.cli import MAX_SAMPLE_COUNT, main
 from conftest import PRODUCT_CC
+
+DATA = Path(__file__).resolve().parent / "data"
 
 PHI_CC = "3 4 3 monomial;0 2 1;1 0 0;1 0 0;0 0 0"
 PHI_NO_CC = "3 4 3 monomial;0 2 1;0 0 0;1 0 0;0 0 0"
@@ -94,6 +99,27 @@ def test_sample_phi_deterministic(capsys):
     assert len(doc["phis"]) == 3
 
 
+# lcm(m, n) = 99 over GF(3): f of degree 9, g of degree 11 and phi = y^3 + xy + x^2 + 2 x^2 y^10
+LCM99 = [
+    "--q", "3", "--f", "2,1,1,2,0,2,0,1,0,1", "--g", "2,0,2,2,0,1,2,1,2,2,1,1",
+    "--phi", "3 9 11 monomial;0 0 0 1 0 0 0 0 0 0 0;0 1 0 0 0 0 0 0 0 0 0;"
+    "1 0 0 0 0 0 0 0 0 0 2" + ";0 0 0 0 0 0 0 0 0 0 0" * 6,
+]
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        pytest.param(["check-cc", "--route", "all"], "cli_lcm99_check_cc.txt", id="check_cc"),
+        pytest.param(["factor", "--format", "structured"], "cli_lcm99_factor.json", id="factor"),
+    ],
+)
+def test_lcm99_output_is_golden(capsys, argv, golden):
+    code, out, err = run(capsys, *argv, *LCM99)
+    assert (code, err) == (0, "")
+    assert out == (DATA / golden).read_text(encoding="utf-8")
+
+
 def test_normal_element_check(capsys):
     code, out, _ = run(
         capsys, "normal", "--q", "2", "--mod", "1,1,1", "--element", "0/1"
@@ -176,6 +202,10 @@ def test_usage_errors(capsys):
         capsys, "staircase", "--q", "2", "--phi", "2 2 4 linearized;1 0 0 0;0 0 0 0"
     )
     assert code == 2 and out == "" and "coprime" in err
+    # sample-phi counts below 1 or past the cap are refused
+    for count in ("-3", "0", str(MAX_SAMPLE_COUNT + 1)):
+        code, out, err = run(capsys, "sample-phi", *WORKED, "--count", count)
+        assert code == 2 and out == "" and "--count" in err
 
 
 def test_element_text_via_extension_field(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -190,6 +191,81 @@ def test_find_root_split_path_even_characteristic(F2):
     assert rho == cz.find_root(f, ctx)
 
 
+def _root_by_splitting_in_ext(f, ext, rng):
+    """Reference: split f over all of ext (Cantor-Zassenhaus on Polynomial
+    pow_mod and gcd) and return the smallest-index conjugate of the root."""
+    h = f.map_coefficients(ext.from_base, ext)
+    Q = ext.order
+    while h.degree > 1:
+        u = cz.Polynomial(ext, [ext.random_element(rng) for _ in range(h.degree)])
+        if Q % 2:
+            w = u.pow_mod((Q - 1) // 2, h) - 1
+        else:
+            w = s = u  # the trace u + u^2 + ... + u^(Q/2)
+            for _ in range(Q.bit_length() - 2):
+                s = s.pow_mod(2, h)
+                w = w + s
+        d = h.gcd(w)
+        if 0 < d.degree < h.degree:
+            h = d
+    root = -h.coefficient(0)
+    return min((root.frobenius(k) for k in range(f.degree)), key=lambda x: x.to_int())
+
+
+@pytest.mark.parametrize(
+    "base_spec, m, n",
+    [
+        pytest.param("3", 1, 4, id="gf3_m1"),
+        pytest.param("2", 4, 4, id="gf2_m_eq_L"),
+        pytest.param("2", 6, 9, id="gf2_6_9"),
+        pytest.param("3", 4, 6, id="gf3_4_6"),
+        pytest.param("5", 2, 3, id="gf5_2_3"),
+        pytest.param("2^2:1,1,1", 2, 3, id="gf4_2_3"),
+        pytest.param("2^2:1,1,1", 3, 4, id="gf4_3_4"),
+        pytest.param("2", 7, 9, id="gf2_7_9"),
+    ],
+)
+def test_find_root_matches_split_in_full_extension(base_spec, m, n):
+    # find_root isolates a root of f in GF(q^m) when 1 < m < L; splitting in
+    # GF(q^L) itself must give the same smallest-index root
+    base = cz.parse_field_spec(base_spec)
+    L = m * n // math.gcd(m, n)
+    ext = cz.extension_field(base, L, seed=0)
+    rng = random.Random(f"roots:{base_spec}:{m}:{n}")
+    for poly in (cz.random_irreducible(base, m, rng=rng), cz.random_irreducible(base, n, rng=rng)):
+        expected = _root_by_splitting_in_ext(poly, ext, rng)
+        assert evaluate_in_extension(poly, expected).is_zero
+        for seed in (0, 3):
+            assert cz.find_root(poly, ext, seed=seed) == expected
+
+
+@pytest.mark.parametrize(
+    "base_spec, degree, seed",
+    [
+        ("2", 1, 0), ("2", 3, 1), ("2", 13, 0), ("2", 16, 0), ("2", 20, 0),
+        ("3", 2, 0), ("3", 12, 3), ("3", 14, 2), ("5", 8, 5),
+        ("2^2:1,1,1", 6, 6), ("2^2:1,1,1", 13, 7),
+    ],
+)
+def test_random_irreducible_matches_plain_rejection(base_spec, degree, seed):
+    # the small-factor sieve changes neither the verdicts nor the draws; at
+    # degrees 16 and 20 over GF(2) and 14 over GF(3) these seeds draw
+    # reducible candidates with no factor of degree <= 6, which only the
+    # full test rejects
+    base = cz.parse_field_spec(base_spec)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+
+    def first_irreducible():
+        while True:
+            cs = [base.random_element(ref_rng) for _ in range(degree)] + [base.one]
+            f = cz.Polynomial(base, cs)
+            if degree == 1 or cz.is_irreducible(f):
+                return f
+
+    for _ in range(2):  # the second draw checks that the rng streams stay in step
+        assert cz.random_irreducible(base, degree, rng=rng) == first_irreducible()
+
+
 def test_find_root_divisibility_error(F2):
     ctx = cz.extension_field(F2, 4, seed=0)
     f = cz.poly_from_text(F2, "1,1,0,1")
@@ -314,6 +390,27 @@ def test_extension_of_two_level_tower(F2):
 
 
 # -- zero polynomial and text formats ----------------------------------------------
+
+
+def test_repr_of_deep_tower(F2):
+    # depth 3 has no text format; str and repr list the coordinates over the
+    # depth-2 field T, each in T's text format
+    gf4 = F2.extension(cz.poly_from_text(F2, "1,1,1"))
+    tower = cz.extension_field(gf4, 2, seed=0)
+    ext = tower.extension(cz.random_irreducible(tower, 2, seed=2))
+    a = tower.nth_element(11)
+    assert str(a) == cz.element_to_text(a) == "1:1/0:1"
+    assert repr(a) == "FieldElement(GF(4^2), '1:1/0:1')"
+    x = ext.from_base(a)
+    assert str(x) == "[1:1/0:1, 0:0/0:0]"
+    assert repr(x) == "FieldElement(GF(16^2), '[1:1/0:1, 0:0/0:0]')"
+    assert str(x) == "[" + ", ".join(map(str, x.coords())) + "]"
+    assert repr(cz.Polynomial(ext, [x, ext.one])) == (
+        "Polynomial(GF(16^2), '[1:1/0:1, 0:0/0:0],[1:0/0:0, 0:0/0:0]')"
+    )
+    assert str(cz.Polynomial(ext, [])) == "0"
+    with pytest.raises(ValueError, match="too deep"):
+        cz.element_to_text(x)
 
 
 def test_zero_polynomial_degree_sentinel(F3):
