@@ -5,7 +5,11 @@ pair of roots: exhausting the value grid (cc_direct), reading subfield
 degrees of the values (cc_oracle), verifying that the coefficient
 polynomials of a phi generate both extensions (cc_by_coefficient_polys),
 and a Frobenius-matrix formulation (matrix_cc_test).  All four agree; the
-matrix and coefficient routes require coprime degrees.
+matrix and coefficient routes need a monomial phi of shape deg f x deg g
+and coprime degrees.  ROUTES maps each route name, in report order, to a
+callable on a BoundDiamond; run_routes(bd) runs every route that applies
+(a table spec has no phi, so only direct and oracle) and is the one place
+callers take route verdicts from.
 
 A failing verdict carries a literal witness: the smallest exponent k such
 that shifting one argument by the q^k-Frobenius leaves the diamond value
@@ -172,15 +176,28 @@ def verify_extension_degree(f, polys):
     return not _surviving_primes(f, polys)
 
 
-def cc_by_coefficient_polys(f, g, phi):
-    """Cancellation via the row/column polynomials of a monomial-basis phi."""
-    if phi.basis != MONOMIAL:
-        raise ValueError("coefficient-polynomial route needs the monomial basis")
+def _phi_route_error(f, g, phi, label="phi"):
+    """Why the coeffs or matrix route (named by label) cannot run, or None."""
+    if phi is None or phi.basis != MONOMIAL:
+        return f"{label} route needs the monomial basis"
     m, n = f.degree, g.degree
     if (phi.m, phi.n) != (m, n):
-        raise ValueError("phi shape does not match the degrees of f and g")
+        return "phi shape does not match the degrees of f and g"
     if math.gcd(m, n) != 1:
-        raise ValueError("coefficient-polynomial route needs coprime degrees")
+        return f"{label} route needs coprime degrees"
+    return None
+
+
+def _require_phi_route(f, g, phi, label):
+    error = _phi_route_error(f, g, phi, label)
+    if error is not None:
+        raise ValueError(error)
+
+
+def cc_by_coefficient_polys(f, g, phi):
+    """Cancellation via the row/column polynomials of a monomial-basis phi."""
+    _require_phi_route(f, g, phi, "coefficient-polynomial")
+    m, n = f.degree, g.degree
     surviving_a = _surviving_primes(f, [phi.col_poly(j) for j in range(n)])
     if surviving_a:
         return CcVerdict(
@@ -225,13 +242,8 @@ def matrix_cc_test(f, g, phi):
     Holds iff (A^(m/p) - I) C is nonzero for every prime p | m and
     (B^(n/p) - I) C^T is nonzero for every prime p | n.
     """
-    if phi.basis != MONOMIAL:
-        raise ValueError("matrix route needs the monomial basis")
+    _require_phi_route(f, g, phi, "matrix")
     m, n = f.degree, g.degree
-    if (phi.m, phi.n) != (m, n):
-        raise ValueError("phi shape does not match the degrees of f and g")
-    if math.gcd(m, n) != 1:
-        raise ValueError("matrix route needs coprime degrees")
     K = f.ctx
     C = phi.rows
     A = petr_berlekamp_matrix(f)
@@ -246,6 +258,39 @@ def matrix_cc_test(f, g, phi):
         if linalg.mat_is_zero(K, linalg.mat_mul(K, D, Ct)):
             return CcVerdict(False, ROUTE_MATRIX, CcWitness(n // p, "beta", 0))
     return CcVerdict(True, ROUTE_MATRIX)
+
+
+# -- route table --------------------------------------------------------------
+
+
+# Every cancellation route, in report order, as a callable on a BoundDiamond.
+ROUTES = {
+    ROUTE_DIRECT: cc_direct,
+    ROUTE_ORACLE: cc_oracle,
+    ROUTE_COEFFS: lambda bd: cc_by_coefficient_polys(bd.pair.f, bd.pair.g, bd.spec.phi),
+    ROUTE_MATRIX: lambda bd: matrix_cc_test(bd.pair.f, bd.pair.g, bd.spec.phi),
+}
+
+
+def run_routes(bd, route="all"):
+    """Verdicts of one route, or of every route that applies, by route name.
+
+    "all" runs direct and oracle, plus coeffs and matrix when their
+    precondition holds: a monomial-basis phi of shape deg f x deg g over
+    coprime degrees.  A single named route runs unconditionally and raises
+    ValueError when it does not apply.
+    """
+    if route != "all":
+        if route not in ROUTES:
+            raise ValueError(f"unknown cancellation route {route!r}")
+        return {route: ROUTES[route](bd)}
+    pair = bd.pair
+    phi_routes = _phi_route_error(pair.f, pair.g, bd.spec.phi) is None
+    return {
+        name: run(bd)
+        for name, run in ROUTES.items()
+        if phi_routes or name in (ROUTE_DIRECT, ROUTE_ORACLE)
+    }
 
 
 # -- sufficient criteria ------------------------------------------------------

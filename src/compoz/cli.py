@@ -16,16 +16,9 @@ import os
 import random
 import sys
 
-from .cancellation import (
-    cc_by_coefficient_polys,
-    cc_direct,
-    cc_oracle,
-    matrix_cc_test,
-    sample_cc_phi_matrices,
-)
+from .cancellation import ROUTES, run_routes, sample_cc_phi_matrices
 from .diamond import (
     LINEARIZED,
-    MONOMIAL,
     SCHEMA,
     DiamondSpec,
     PhiPoly,
@@ -140,35 +133,13 @@ def _cmd_compose(args):
     return 0
 
 
-def _applicable_routes(route, phi, m, n):
-    coprime = math.gcd(m, n) == 1
-    if route != "all":
-        return [route]
-    routes = ["direct", "oracle"]
-    if phi.basis == MONOMIAL and coprime:
-        routes += ["coeffs", "matrix"]
-    return routes
-
-
 def _cmd_check_cc(args):
     base, f, g, phi = _load_instance(args)
-    m, n = f.degree, g.degree
-    pair = RootPair.build(f, g, seed=args.seed)
-    spec = DiamondSpec.from_phi(phi)
-    bd = spec.bind(pair)
-    verdicts = {}
-    for route in _applicable_routes(args.route, phi, m, n):
-        if route == "direct":
-            verdicts[route] = cc_direct(bd)
-        elif route == "oracle":
-            verdicts[route] = cc_oracle(bd)
-        elif route == "coeffs":
-            verdicts[route] = cc_by_coefficient_polys(f, g, phi)
-        elif route == "matrix":
-            verdicts[route] = matrix_cc_test(f, g, phi)
+    bd = DiamondSpec.from_phi(phi).bind(RootPair.build(f, g, seed=args.seed))
+    verdicts = run_routes(bd, args.route)
     answers = {r: v.holds for r, v in verdicts.items()}
     extras = {}
-    if args.route == "all" and math.gcd(m, n) == 1:
+    if args.route == "all" and math.gcd(f.degree, g.degree) == 1:
         extras["irreducible-product"] = is_irreducible(bd.composed())
     if len(set(answers.values()) | set(extras.values())) > 1:
         raise RuntimeError(
@@ -359,7 +330,7 @@ def _build_parser():
     common(p, phi=True, fg=True)
     p.add_argument(
         "--route",
-        choices=("direct", "oracle", "coeffs", "matrix", "all"),
+        choices=(*ROUTES, "all"),
         default="all",
     )
     p.set_defaults(func=_cmd_check_cc)

@@ -25,7 +25,6 @@ from .ff import (
     FieldElement,
     Polynomial,
     _pfromroots,
-    degree_over_base,
     extension_field,
     find_root,
     is_irreducible,
@@ -219,7 +218,7 @@ class RootPair:
         self.beta = beta
 
     @classmethod
-    def build(cls, f, g, *, ctx=None, seed=DEFAULT_SEED):
+    def build(cls, f, g, *, seed=DEFAULT_SEED):
         if f.ctx != g.ctx:
             raise ContextMismatchError("f and g must share a coefficient field")
         for poly, name in ((f, "f"), (g, "g")):
@@ -228,11 +227,7 @@ class RootPair:
             if not is_irreducible(poly):
                 raise ValueError(f"{name} is reducible")
         m, n = f.degree, g.degree
-        L = m // math.gcd(m, n) * n
-        if ctx is None:
-            ctx = extension_field(f.ctx, L, seed=seed)
-        if ctx.lower is None or ctx.lower != f.ctx or ctx.degree % L != 0:
-            raise ValueError("supplied context cannot host the roots")
+        ctx = extension_field(f.ctx, m // math.gcd(m, n) * n, seed=seed)
         alpha = find_root(f, ctx, seed=seed)
         beta = find_root(g, ctx, seed=seed)
         return cls(f, g, ctx, alpha, beta)
@@ -415,15 +410,10 @@ def factor_report(f, g, spec, *, pair=None, seed=DEFAULT_SEED):
     L = m // g_ * n
     entries = []
     for j in range(g_):
-        gamma = bd.value(0, j)
-        r = degree_over_base(gamma)
+        min_poly = minimal_polynomial(bd.value(0, j))
+        r = min_poly.degree
         entries.append(
-            FactorEntry(
-                orbit=j,
-                degree=r,
-                multiplicity=L // r,
-                min_poly=minimal_polynomial(gamma),
-            )
+            FactorEntry(orbit=j, degree=r, multiplicity=L // r, min_poly=min_poly)
         )
     product = Polynomial.one(pair.base)
     for e in entries:

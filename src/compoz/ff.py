@@ -819,10 +819,6 @@ class Polynomial:
         return cls._wrap(ctx, _pstrip(ctx, coeffs))
 
     @classmethod
-    def x(cls, ctx):
-        return cls._wrap(ctx, (ctx._zero_raw, ctx._one_raw))
-
-    @classmethod
     def one(cls, ctx):
         return cls._wrap(ctx, (ctx._one_raw,))
 
@@ -846,11 +842,6 @@ class Polynomial:
     @property
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == self.ctx._one_raw
-
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement._wrap(self.ctx, self.coeffs[-1])
 
     def coefficient(self, i):
         if 0 <= i < len(self.coeffs):
@@ -1203,7 +1194,7 @@ class Embedding:
         for _ in range(1, small.degree):
             pows.append(big._mul(pows[-1], root.raw))
         self._pows = tuple(pows)
-        self._solver = LinearSolver(small.lower, [big._unpack(w) for w in pows])
+        self._solver = None  # built by the first project(); many callers only embed
 
     @classmethod
     def find(cls, small, big, *, seed=DEFAULT_SEED):
@@ -1224,7 +1215,10 @@ class Embedding:
     def project(self, b):
         if not isinstance(b, FieldElement) or b.ctx != self.big:
             raise ContextMismatchError("element is not in the big field")
-        coords = self._solver.solve(self.big._unpack(b.raw))
+        big = self.big
+        if self._solver is None:
+            self._solver = LinearSolver(self.small.lower, [big._unpack(w) for w in self._pows])
+        coords = self._solver.solve(big._unpack(b.raw))
         if coords is None:
             raise ValueError("element is not in the embedded subfield")
         return FieldElement._wrap(self.small, self.small._pack(coords))

@@ -122,8 +122,9 @@ class LinearSolver:
         ncols = len(columns)
         if any(len(c) != nrows for c in columns):
             raise ValueError("ragged columns")
+        eye = identity(K, nrows)
         aug = tuple(
-            tuple(columns[j][i] for j in range(ncols)) + identity(K, nrows)[i]
+            tuple(columns[j][i] for j in range(ncols)) + eye[i]
             for i in range(nrows)
         )
         R, pivots = rref(K, aug)

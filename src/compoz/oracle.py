@@ -16,12 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cancellation import (
-    cc_by_coefficient_polys,
-    cc_direct,
-    cc_oracle,
-    matrix_cc_test,
-)
+from .cancellation import ROUTE_DIRECT, ROUTES, run_routes
 from .diamond import MONOMIAL, SCHEMA, DiamondSpec, PhiPoly, RootPair, factor_report
 from .ff import (
     DEFAULT_SEED,
@@ -34,6 +29,7 @@ from .ff import (
 from .orbits import coprime_decomposition, divisors, valuations_all_distinct
 
 _FACTOR_CANDIDATE_CAP = 65536
+_NORMAL_SCAN_CAP = 1 << 16
 
 
 def naive_factor(f):
@@ -171,9 +167,9 @@ def normal_by_gcd(gamma):
     return gpoly.gcd(xm1).degree == 0
 
 
-def exhaustive_normal_scan(ctx, *, cap=1 << 16):
+def exhaustive_normal_scan(ctx):
     """Exact count of normal elements by scanning the whole field."""
-    if ctx.order > cap:
+    if ctx.order > _NORMAL_SCAN_CAP:
         raise ValueError("field too large for an exhaustive normal scan")
     return sum(1 for a in ctx.all_elements() if normal_by_gcd(a))
 
@@ -218,9 +214,9 @@ def run_route_agreement_sweep(config):
     """Compare every cancellation route on random phi products.
 
     For each instance one seeded (f, g) pair is fixed and phi_count random
-    coefficient matrices are pushed through cc_direct, cc_oracle, the
-    coefficient-polynomial route, the matrix route, the exhaustive oracle,
-    and the irreducibility equivalence.  Returns a JSON-ready report.
+    coefficient matrices are pushed through every cancellation route
+    (run_routes), the exhaustive oracle, and the irreducibility
+    equivalence.  Returns a JSON-ready report.
     """
     instances = []
     total = disagreements = holds_total = 0
@@ -237,15 +233,10 @@ def run_route_agreement_sweep(config):
             phi = PhiPoly.random(base, m, n, rng)
             spec = DiamondSpec.from_phi(phi)
             bd = spec.bind(pair)
-            verdicts = {
-                "direct": cc_direct(bd).holds,
-                "oracle": cc_oracle(bd).holds,
-                "coeffs": cc_by_coefficient_polys(f, g, phi).holds,
-                "matrix": matrix_cc_test(f, g, phi).holds,
-                "exhaustive": exhaustive_cc(f, g, spec, pair=pair),
-                "irreducible": is_irreducible(bd.composed()),
-            }
-            if verdicts["direct"]:
+            verdicts = {name: v.holds for name, v in run_routes(bd).items()}
+            verdicts["exhaustive"] = exhaustive_cc(f, g, spec, pair=pair)
+            verdicts["irreducible"] = is_irreducible(bd.composed())
+            if verdicts[ROUTE_DIRECT]:
                 holds_count += 1
             if len(set(verdicts.values())) != 1:
                 bad.append(
@@ -322,7 +313,8 @@ def run_factor_structure_sweep(config):
                     if e.degree not in admissible:
                         violations.append({"kind": "admissible-membership", "spec": idx})
             exh = exhaustive_cc(f, g, spec, pair=pair)
-            if not (report.cc_holds == cc_direct(spec.bind(pair)).holds == exh):
+            direct = ROUTES[ROUTE_DIRECT](spec.bind(pair)).holds
+            if not (report.cc_holds == direct == exh):
                 violations.append({"kind": "cc-route-mismatch", "spec": idx})
             if nu_distinct and report.cc_holds != report.all_factors_max_degree:
                 violations.append({"kind": "valuation-equivalence", "spec": idx})

@@ -4,7 +4,8 @@ import pytest
 
 import compoz as cz
 from compoz import linalg
-from conftest import A2I_TIMES_C, A_ENTRIES, B_ENTRIES
+from compoz.cancellation import ROUTES, run_routes
+from conftest import A2I_TIMES_C, A_ENTRIES, B_ENTRIES, PHI_CC_ROWS
 
 
 # -- Frobenius matrices ------------------------------------------------------------
@@ -66,6 +67,44 @@ def test_routes_on_worked_instances(worked):
     ):
         assert not verdict.holds
         assert verdict.witness is not None
+
+
+def test_run_routes_all_set(worked, F3):
+    f, g, pair = worked.f, worked.g, worked.pair
+    two = ["direct", "oracle"]
+
+    def names(spec, p=pair):
+        return list(run_routes(spec.bind(p)))
+
+    for phi in (worked.phi_cc, worked.phi_no_cc):
+        assert names(cz.DiamondSpec.from_phi(phi)) == list(ROUTES) == [
+            "direct", "oracle", "coeffs", "matrix"
+        ]
+    linearized = cz.PhiPoly.build(F3, PHI_CC_ROWS, basis=cz.LINEARIZED)
+    assert names(cz.DiamondSpec.from_phi(linearized)) == two
+    assert names(cz.table_spec_from_phi(worked.phi_cc, pair)) == two
+    mismatched = cz.PhiPoly.build(F3, ((0, 2), (1, 0)))
+    assert names(cz.DiamondSpec.from_phi(mismatched)) == two
+    f2 = cz.random_irreducible(F3, 2, seed=0)
+    g4 = cz.random_irreducible(F3, 4, seed=1)
+    phi24 = cz.PhiPoly.random(F3, 2, 4, random.Random(0))
+    assert names(cz.DiamondSpec.from_phi(phi24), cz.RootPair.build(f2, g4)) == two
+    # a named route runs unconditionally and keeps its own precondition errors
+    bd = cz.DiamondSpec.from_phi(mismatched).bind(pair)
+    assert list(run_routes(bd, "direct")) == ["direct"]
+    for route in ("coeffs", "matrix"):
+        with pytest.raises(ValueError, match="phi shape does not match"):
+            run_routes(bd, route)
+    with pytest.raises(ValueError, match="unknown cancellation route"):
+        run_routes(bd, "nope")
+    # verdicts match the public route functions
+    bad = cz.DiamondSpec.from_phi(worked.phi_no_cc).bind(pair)
+    assert run_routes(bad) == {
+        "direct": cz.cc_direct(bad),
+        "oracle": cz.cc_oracle(bad),
+        "coeffs": cz.cc_by_coefficient_polys(f, g, worked.phi_no_cc),
+        "matrix": cz.matrix_cc_test(f, g, worked.phi_no_cc),
+    }
 
 
 def test_oracle_lcm_reasoning(worked):

@@ -120,6 +120,44 @@ def test_lcm99_output_is_golden(capsys, argv, golden):
     assert out == (DATA / golden).read_text(encoding="utf-8")
 
 
+def _goldens(name):
+    cases = json.loads((DATA / name).read_text(encoding="utf-8"))
+    return [pytest.param(c, id=f"{i}") for i, c in enumerate(cases)]
+
+
+# check-cc on the worked instance with phi_cc, phi_no_cc and a linearized phi,
+# every --route in text and structured form
+@pytest.mark.parametrize("case", _goldens("cli_check_cc_routes.json"))
+def test_check_cc_routes_are_golden(capsys, case):
+    assert list(run(capsys, *case["argv"])) == [case["code"], case["stdout"], case["stderr"]]
+
+
+# staircase --format structured at (q, m, n) = (3, 4, 5) and (2, 7, 9)
+@pytest.mark.parametrize("case", _goldens("cli_staircase.json"))
+def test_staircase_is_golden(capsys, case):
+    assert list(run(capsys, *case["argv"])) == [case["code"], case["stdout"], case["stderr"]]
+
+
+def test_check_cc_all_skips_phi_routes_on_shape_mismatch(capsys):
+    # a 2 x 2 monomial phi on degrees 4 x 3: the diamond is well defined, but
+    # the coeffs and matrix routes read a deg f x deg g coefficient matrix
+    phi = "3 2 2 monomial;0 2;1 0"
+    code, out, err = run(capsys, "check-cc", *WORKED, "--phi", phi, "--route", "all")
+    assert (code, err) == (0, "")
+    assert out == (
+        "conjugate cancellation: holds\n"
+        "  route direct: holds\n"
+        "  route oracle: holds\n"
+        "  cross-check irreducible-product: true\n"
+    )
+    assert run(capsys, "check-cc", *WORKED, "--phi", phi, "--route", "direct")[0] == 0
+    assert run(capsys, "compose", *WORKED, "--phi", phi)[0] == 0
+    for route in ("coeffs", "matrix"):
+        code, out, err = run(capsys, "check-cc", *WORKED, "--phi", phi, "--route", route)
+        assert (code, out) == (2, "")
+        assert err == "error: phi shape does not match the degrees of f and g\n"
+
+
 def test_normal_element_check(capsys):
     code, out, _ = run(
         capsys, "normal", "--q", "2", "--mod", "1,1,1", "--element", "0/1"
