@@ -9,11 +9,17 @@ products and their factorizations are read off.  Both kinds bind the same
 way: the values at the gcd(m, n) representatives (0, j) are evaluated
 (phi) or given (table), and every other cell follows by walking its orbit
 with the q-power map, since (a diamond b)^q = a^q diamond b^q.
+
+The composed product is never expanded from its m*n linear factors: each
+orbit contributes a power of its representative's minimal polynomial, found
+by Berlekamp-Massey over the base.  factor_report builds the same factors by
+expanding each orbit (minimal_polynomial) and checks that the two agree.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +31,7 @@ from .ff import (
     FieldElement,
     Polynomial,
     _pfromroots,
+    _pminpoly,
     extension_field,
     find_root,
     is_irreducible,
@@ -316,19 +323,36 @@ class BoundDiamond:
         )
 
     def composed(self):
-        """Expand the product of (X - value) over the grid, projected to the base."""
-        if self._composed is None:
-            ctx = self.pair.ctx
-            roots = [v for row in self.vals for v in row]
-            poly = Polynomial._wrap(ctx, _pfromroots(ctx, roots))
-            try:
-                from .ff import project_poly_to_base
+        """The product of (X - value) over the grid, as a polynomial over the base.
 
-                self._composed = project_poly_to_base(poly)
-            except ValueError as exc:
-                raise RuntimeError(
-                    "composed product has a coefficient outside the base field"
-                ) from exc
+        The grid is gcd(m, n) orbit segments gamma_j^(q^t), t < L = lcm(m, n),
+        so the product is prod_j minpoly(gamma_j)^(L / deg), with each
+        minimal polynomial found by Berlekamp-Massey over the base instead of
+        expanding the m*n linear factors (Brawley-Carlitz, 1987).  A segment
+        is a whole number of conjugate cycles unless gamma_j lies outside
+        GF(q^L), which only a table value can; the product is then over the
+        base exactly when the q^L-th powers permute the gamma_j, and each
+        distinct minimal polynomial enters L * (its count) / deg times.
+        """
+        if self._composed is None:
+            ctx, base = self.pair.ctx, self.pair.base
+            m, n = self.pair.m, self.pair.n
+            L = math.lcm(m, n)
+            reps = self.vals[0][: math.gcd(m, n)]
+            mins = Counter(_pminpoly(ctx, raw) for raw in reps)
+            if any(L % (len(mu) - 1) for mu in mins):
+                # x -> x^q maps the grid's values to themselves, except that
+                # each gamma_j becomes gamma_j^(q^L); the product is over the
+                # base iff that leaves the multiset unchanged
+                if Counter(reps) != Counter(ctx._frob(raw, L) for raw in reps):
+                    raise RuntimeError(
+                        "composed product has a coefficient outside the base field"
+                    )
+            product = Polynomial.one(base)
+            for mu, count in mins.items():
+                power = L * count // (len(mu) - 1)
+                product = product * Polynomial._wrap(base, mu) ** power
+            self._composed = product
         return self._composed
 
 
@@ -336,7 +360,9 @@ def composed_product(f, g, spec, *, pair=None, seed=DEFAULT_SEED):
     """The polynomial whose roots are all diamond values of roots of f and g.
 
     Monic of degree deg(f) * deg(g) with coefficients in the base field; the
-    result does not depend on which roots the binding step picked.
+    result does not depend on which roots the binding step picked.  It is
+    BoundDiamond.composed(): a product of powers of minimal polynomials, one
+    per orbit of the value grid.
     """
     if pair is None:
         pair = RootPair.build(f, g, seed=seed)
@@ -399,12 +425,20 @@ def factor_report(f, g, spec, *, pair=None, seed=DEFAULT_SEED):
     """Per-orbit factors of f diamond g with degrees and multiplicities.
 
     Entry j describes the minimal polynomial of the value at (0, j); its
-    multiplicity is lcm(m, n) / degree.  The reconstruction identity against
-    the expanded product is checked and a mismatch is a hard error.
+    multiplicity is lcm(m, n) / degree.  Each minimal polynomial is the
+    expansion of its orbit, and the product they reconstruct is checked
+    against composed(), which finds them by Berlekamp-Massey instead, so the
+    check compares two computations that share no algorithm; a mismatch is
+    a hard error.
     """
     if pair is None:
         pair = RootPair.build(f, g, seed=seed)
-    bd = spec.bind(pair)
+    return _factor_report(spec.bind(pair))
+
+
+def _factor_report(bd):
+    """factor_report of a diamond already bound to its root pair."""
+    pair = bd.pair
     m, n = pair.m, pair.n
     g_ = math.gcd(m, n)
     L = m // g_ * n

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from operator import mul as _mul_op
 
 from .linalg import LinearSolver
 
@@ -1017,6 +1018,70 @@ def minimal_polynomial(a):
         return Polynomial._wrap(ctx, (ctx._neg(a.raw), ctx._one_raw))
     poly = _pfromroots(ctx, _orbit(ctx, a.raw))
     return Polynomial._wrap(ctx.lower, tuple(ctx._to_base_raw(c) for c in poly))
+
+
+def _pminpoly(K, a):
+    """Monic minimal polynomial of the raw a of an extension K over K.lower,
+    as raw coefficients, by Berlekamp-Massey on s_i = coordinate 0 of a^i.
+
+    The minimal recurrence of s divides minpoly(a), which is irreducible,
+    and is not 1 since s_0 = 1, so it is minpoly(a); 2 * K.degree terms
+    determine it (Massey, IEEE Trans. Inf. Theory 15, 1969; Shoup's power
+    projection, ISSAC 1999).  No conjugate of a is formed.
+    """
+    lo = K.lower
+    powers = [K._one_raw]
+    for _ in range(2 * K.degree - 1):
+        powers.append(K._mul(powers[-1], a))
+    if K.depth == 1:
+        mask = (1 << K._w) - 1
+        seq = [x & mask for x in powers]
+    else:
+        seq = [x[0] for x in powers]
+    # C is the connection polynomial of the L-term recurrence found so far,
+    # B the one before the last length change and b its discrepancy; the
+    # discrepancy at step i is C . (s_i, s_(i-1), ...), a window of rs
+    n = len(seq)
+    rs = seq[::-1]
+    C, B, b, L, shift = [lo._one_raw], [lo._one_raw], lo._one_raw, 0, 1
+    if lo.lower is None:
+        p = lo.p
+        for i in range(n):
+            d = sum(map(_mul_op, C, rs[n - 1 - i :])) % p
+            if not d:
+                shift += 1
+                continue
+            coef = d * pow(b, p - 2, p) % p
+            T = C[:]
+            C.extend([0] * (len(B) + shift - len(C)))
+            C[shift : shift + len(B)] = [
+                (c - coef * bj) % p for c, bj in zip(C[shift:], B)
+            ]
+            if 2 * L <= i:
+                L, B, b, shift = i + 1 - L, T, d, 1
+            else:
+                shift += 1
+    else:
+        z, add, mul, sub = lo._zero_raw, lo._add, lo._mul, lo._sub
+        for i in range(n):
+            d = z
+            for c, s in zip(C, rs[n - 1 - i :]):
+                d = add(d, mul(c, s))
+            if d == z:
+                shift += 1
+                continue
+            coef = mul(d, lo._inv(b))
+            T = C[:]
+            C.extend([z] * (len(B) + shift - len(C)))
+            C[shift : shift + len(B)] = [
+                sub(c, mul(coef, bj)) for c, bj in zip(C[shift:], B)
+            ]
+            if 2 * L <= i:
+                L, B, b, shift = i + 1 - L, T, d, 1
+            else:
+                shift += 1
+    C.extend([lo._zero_raw] * (L + 1 - len(C)))
+    return tuple(reversed(C[: L + 1]))
 
 
 def is_irreducible(f):

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .cancellation import ROUTE_DIRECT, ROUTES, run_routes
-from .diamond import MONOMIAL, SCHEMA, DiamondSpec, PhiPoly, RootPair, factor_report
+from .diamond import MONOMIAL, SCHEMA, DiamondSpec, PhiPoly, RootPair, _factor_report
 from .ff import (
     DEFAULT_SEED,
     Polynomial,
@@ -299,7 +299,8 @@ def run_factor_structure_sweep(config):
             values = [pair.ctx.random_element(rng) for _ in range(gmn)]
             specs.append(DiamondSpec.from_table(m, n, values))
         for idx, spec in enumerate(specs):
-            report = factor_report(f, g, spec, pair=pair)
+            bd = spec.bind(pair)
+            report = _factor_report(bd)
             expected = {}
             for entry in report.entries:
                 expected[entry.min_poly] = expected.get(entry.min_poly, 0) + entry.multiplicity
@@ -313,7 +314,7 @@ def run_factor_structure_sweep(config):
                     if e.degree not in admissible:
                         violations.append({"kind": "admissible-membership", "spec": idx})
             exh = exhaustive_cc(f, g, spec, pair=pair)
-            direct = ROUTES[ROUTE_DIRECT](spec.bind(pair)).holds
+            direct = ROUTES[ROUTE_DIRECT](bd).holds
             if not (report.cc_holds == direct == exh):
                 violations.append({"kind": "cc-route-mismatch", "spec": idx})
             if nu_distinct and report.cc_holds != report.all_factors_max_degree:

@@ -215,6 +215,79 @@ def test_composed_independent_of_ambient_modulus(worked):
     assert alt == worked.product_cc
 
 
+def _grid_expansion(bd):
+    # reference: multiply out (X - v) over every cell, then move to the base
+    ctx = bd.pair.ctx
+    product = cz.Polynomial.one(ctx)
+    for i in range(bd.pair.m):
+        for j in range(bd.pair.n):
+            product = product * cz.Polynomial(ctx, [-bd.value(i, j), ctx.one])
+    return project_poly_to_base(product)
+
+
+@pytest.mark.parametrize(
+    "field, m, n",
+    [("2", 2, 3), ("3", 3, 4), ("2", 4, 6), ("3", 2, 4), ("2", 3, 6), ("3", 3, 3),
+     ("2^2:1,1,1", 2, 3), ("2^2:1,1,1", 2, 4)],
+)
+def test_composed_matches_grid_expansion(field, m, n):
+    base = cz.parse_field_spec(field)
+    rng = random.Random(f"composed {field} {m} {n}")
+    f = cz.random_irreducible(base, m, rng=rng)
+    g = cz.random_irreducible(base, n, rng=rng)
+    pair = cz.RootPair.build(f, g, seed=2)
+    gmn = math.gcd(m, n)
+    specs = [
+        cz.DiamondSpec.from_phi(cz.PhiPoly.random(base, m, n, rng, basis=basis))
+        for basis in (cz.MONOMIAL, cz.LINEARIZED)
+        for _ in range(2)
+    ]
+    specs.append(cz.DiamondSpec.from_phi(cz.PhiPoly.build(base, [[0] * n, [1] + [0] * (n - 1)])))
+    specs.append(cz.DiamondSpec.from_table(m, n, [pair.ctx.zero] * gmn))
+    specs.append(
+        cz.DiamondSpec.from_table(m, n, [pair.ctx.random_element(rng) for _ in range(gmn)])
+    )
+    for spec in specs:
+        bd = spec.bind(pair)
+        product = bd.composed()
+        assert product.ctx == base and product.degree == m * n
+        assert product == _grid_expansion(bd)
+
+
+def _element_of_degree(ctx, d):
+    return next(x for x in ctx.all_elements() if cz.degree_over_base(x) == d)
+
+
+def test_composed_table_value_outside_lcm_field(F2):
+    # a (2, 3) pair inside GF(2^12): a value of degree 4 does not lie in
+    # GF(2^6), its grid segment is not a union of conjugate cycles, and the
+    # grid product has a coefficient outside GF(2)
+    ctx = cz.extension_field(F2, 12, seed=0)
+    pair = cz.RootPair.from_elements(_element_of_degree(ctx, 2), _element_of_degree(ctx, 3))
+    bd = cz.DiamondSpec.from_table(2, 3, [_element_of_degree(ctx, 4)]).bind(pair)
+    with pytest.raises(RuntimeError, match="outside the base field"):
+        bd.composed()
+    with pytest.raises(ValueError):
+        _grid_expansion(bd)
+
+
+def test_composed_table_values_outside_lcm_field_that_close_up(F2):
+    # a (2, 4) pair inside GF(2^8), L = 4: two values of degree 8 whose
+    # segments together make one whole conjugate cycle give minpoly(v)
+    # itself; any other second value leaves the product outside GF(2)
+    ctx = cz.extension_field(F2, 8, seed=0)
+    pair = cz.RootPair.from_elements(_element_of_degree(ctx, 2), _element_of_degree(ctx, 4))
+    v = _element_of_degree(ctx, 8)
+    bd = cz.DiamondSpec.from_table(2, 4, [v, v.frobenius(4)]).bind(pair)
+    assert bd.composed() == cz.minimal_polynomial(v) == _grid_expansion(bd)
+    for w in (v, v.frobenius(1)):
+        bd = cz.DiamondSpec.from_table(2, 4, [v, w]).bind(pair)
+        with pytest.raises(RuntimeError, match="outside the base field"):
+            bd.composed()
+        with pytest.raises(ValueError):
+            _grid_expansion(bd)
+
+
 def test_distinct_values_when_cc_holds(worked, small):
     for f, g, phi, pair in (
         (worked.f, worked.g, worked.phi_cc, worked.pair),

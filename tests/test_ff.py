@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import compoz as cz
-from compoz.ff import ContextMismatchError, evaluate_in_extension
+from compoz.ff import ContextMismatchError, _pminpoly, evaluate_in_extension
 from compoz.oracle import _grid_from_scratch
 
 
@@ -286,6 +286,43 @@ def test_minimal_polynomial_base_element(F3):
     a = gf9.from_base(F3.element(2))
     assert cz.minimal_polynomial(a) == cz.poly_from_text(F3, "1,1")
     assert cz.degree_over_base(a) == 1
+
+
+@pytest.mark.parametrize(
+    "base_spec, degrees",
+    [
+        pytest.param("2", (12,), id="2^12"),
+        pytest.param("3", (10,), id="3^10"),
+        pytest.param("5", (6,), id="5^6"),
+        pytest.param("2^2:1,1,1", (4,), id="4^4"),
+        pytest.param("3^2:1,0,1", (4,), id="9^4"),
+        pytest.param("2^2:1,1,1", (2, 2), id="4^2^2"),
+    ],
+)
+def test_pminpoly_matches_minimal_polynomial(base_spec, degrees):
+    # Berlekamp-Massey against the expansion of the conjugate orbit
+    K = cz.parse_field_spec(base_spec)
+    for d in degrees:
+        K = cz.extension_field(K, d, seed=0)
+    lo = K.lower
+    rng = random.Random(f"{base_spec} {degrees}")
+    elements = [K.zero, K.one]
+    elements += [K.from_base(lo.random_element(rng)) for _ in range(4)]
+    # norms down to each proper subfield GF(Q^d), d | degree
+    Q, D = lo.order, K.degree
+    proper = [d for d in range(2, D) if D % d == 0]
+    for d in proper:
+        for _ in range(2):
+            elements.append(K.random_element(rng) ** ((Q**D - 1) // (Q**d - 1)))
+    elements += [K.random_element(rng) for _ in range(12)]
+    found = set()
+    for a in elements:
+        want = cz.minimal_polynomial(a)
+        assert _pminpoly(K, a.raw) == want.coeffs, a
+        found.add(want.degree)
+    assert 1 in found and D in found
+    if proper:
+        assert any(1 < d < D for d in found)
 
 
 @given(st.data())
