@@ -12,8 +12,9 @@ with the q-power map, since (a diamond b)^q = a^q diamond b^q.
 
 The composed product is never expanded from its m*n linear factors: each
 orbit contributes a power of its representative's minimal polynomial, found
-by Berlekamp-Massey over the base.  factor_report builds the same factors by
-expanding each orbit (minimal_polynomial) and checks that the two agree.
+by Berlekamp-Massey over the base.  factor_report checks each of those by
+Berlekamp-Massey plus a certificate (degree = orbit length, h(gamma) = 0)
+and checks that the product of its factors agrees with composed().
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .ff import (
     Embedding,
     FieldElement,
     Polynomial,
+    _check_minpoly,
     _pfromroots,
     _pminpoly,
     extension_field,
@@ -275,6 +277,9 @@ class DiamondSpec:
         L = m // g * n
         if ctx.lower is None or ctx.degree % L != 0:
             raise ValueError("table values must lie in a field containing GF(q^lcm)")
+        # (a diamond b)^q = a^q diamond b^q, so every value is fixed by x -> x^(q^L)
+        if any(ctx._frob(v.raw, L) != v.raw for v in values):
+            raise ValueError("table values must lie in GF(q^lcm)")
         return cls(kind="table", m=m, n=n, values=values)
 
     def bind(self, pair):
@@ -328,26 +333,14 @@ class BoundDiamond:
         The grid is gcd(m, n) orbit segments gamma_j^(q^t), t < L = lcm(m, n),
         so the product is prod_j minpoly(gamma_j)^(L / deg), with each
         minimal polynomial found by Berlekamp-Massey over the base instead of
-        expanding the m*n linear factors (Brawley-Carlitz, 1987).  A segment
-        is a whole number of conjugate cycles unless gamma_j lies outside
-        GF(q^L), which only a table value can; the product is then over the
-        base exactly when the q^L-th powers permute the gamma_j, and each
-        distinct minimal polynomial enters L * (its count) / deg times.
+        expanding the m*n linear factors (Brawley-Carlitz, 1987); equal
+        minimal polynomials are raised to one combined power.
         """
         if self._composed is None:
             ctx, base = self.pair.ctx, self.pair.base
             m, n = self.pair.m, self.pair.n
             L = math.lcm(m, n)
-            reps = self.vals[0][: math.gcd(m, n)]
-            mins = Counter(_pminpoly(ctx, raw) for raw in reps)
-            if any(L % (len(mu) - 1) for mu in mins):
-                # x -> x^q maps the grid's values to themselves, except that
-                # each gamma_j becomes gamma_j^(q^L); the product is over the
-                # base iff that leaves the multiset unchanged
-                if Counter(reps) != Counter(ctx._frob(raw, L) for raw in reps):
-                    raise RuntimeError(
-                        "composed product has a coefficient outside the base field"
-                    )
+            mins = Counter(_pminpoly(ctx, raw, L) for raw in self.vals[0][: math.gcd(m, n)])
             product = Polynomial.one(base)
             for mu, count in mins.items():
                 power = L * count // (len(mu) - 1)
@@ -425,11 +418,11 @@ def factor_report(f, g, spec, *, pair=None, seed=DEFAULT_SEED):
     """Per-orbit factors of f diamond g with degrees and multiplicities.
 
     Entry j describes the minimal polynomial of the value at (0, j); its
-    multiplicity is lcm(m, n) / degree.  Each minimal polynomial is the
-    expansion of its orbit, and the product they reconstruct is checked
-    against composed(), which finds them by Berlekamp-Massey instead, so the
-    check compares two computations that share no algorithm; a mismatch is
-    a hard error.
+    multiplicity is lcm(m, n) / degree.  Each minimal polynomial is found by
+    Berlekamp-Massey plus a certificate (degree = orbit length, h(gamma) =
+    0) that shares no code with it, and the product of the entries is
+    checked against composed(), which groups equal minimal polynomials; a
+    failed certificate or a mismatch is a hard error (RuntimeError).
     """
     if pair is None:
         pair = RootPair.build(f, g, seed=seed)
@@ -443,11 +436,13 @@ def _factor_report(bd):
     g_ = math.gcd(m, n)
     L = m // g_ * n
     entries = []
-    for j in range(g_):
-        min_poly = minimal_polynomial(bd.value(0, j))
-        r = min_poly.degree
+    for j, raw in enumerate(bd.vals[0][:g_]):
+        h = _pminpoly(pair.ctx, raw, L)
+        _check_minpoly(pair.ctx, raw, h)
+        r = len(h) - 1
         entries.append(
-            FactorEntry(orbit=j, degree=r, multiplicity=L // r, min_poly=min_poly)
+            FactorEntry(orbit=j, degree=r, multiplicity=L // r,
+                        min_poly=Polynomial._wrap(pair.base, h))
         )
     product = Polynomial.one(pair.base)
     for e in entries:

@@ -577,14 +577,6 @@ class FieldContext:
     def _from_base_raw(self, c):
         return self._pack((c,))
 
-    def _to_base_raw(self, a):
-        cs = self._unpack(a)
-        z = self.lower._zero_raw
-        for c in cs[1:]:
-            if c != z:
-                raise ValueError("element does not lie in the base field")
-        return cs[0]
-
     def _nth(self, i):
         if self.lower is None:
             return i % self.p
@@ -654,7 +646,10 @@ class FieldContext:
     def to_base(self, a):
         if not isinstance(a, FieldElement) or a.ctx != self:
             raise ContextMismatchError("element does not belong to this context")
-        return FieldElement._wrap(self.lower, self._to_base_raw(a.raw))
+        cs = self._unpack(a.raw)
+        if any(c != self.lower._zero_raw for c in cs[1:]):
+            raise ValueError("element does not lie in the base field")
+        return FieldElement._wrap(self.lower, cs[0])
 
     def extension(self, modulus, *, check=True):
         """Extend by a monic irreducible modulus over this field.
@@ -1012,26 +1007,29 @@ def degree_over_base(a):
 
 
 def minimal_polynomial(a):
-    """Monic minimal polynomial of a over the next-lower field."""
+    """Monic minimal polynomial of a over the next-lower field, by
+    Berlekamp-Massey plus a certificate (degree = orbit length, h(a) = 0)."""
     ctx = a.ctx
     if ctx.lower is None:
         return Polynomial._wrap(ctx, (ctx._neg(a.raw), ctx._one_raw))
-    poly = _pfromroots(ctx, _orbit(ctx, a.raw))
-    return Polynomial._wrap(ctx.lower, tuple(ctx._to_base_raw(c) for c in poly))
+    h = _pminpoly(ctx, a.raw, len(_orbit(ctx, a.raw)))
+    _check_minpoly(ctx, a.raw, h)
+    return Polynomial._wrap(ctx.lower, h)
 
 
-def _pminpoly(K, a):
+def _pminpoly(K, a, d):
     """Monic minimal polynomial of the raw a of an extension K over K.lower,
-    as raw coefficients, by Berlekamp-Massey on s_i = coordinate 0 of a^i.
+    of degree at most d, as raw coefficients, by Berlekamp-Massey on
+    s_i = coordinate 0 of a^i.
 
     The minimal recurrence of s divides minpoly(a), which is irreducible,
-    and is not 1 since s_0 = 1, so it is minpoly(a); 2 * K.degree terms
-    determine it (Massey, IEEE Trans. Inf. Theory 15, 1969; Shoup's power
-    projection, ISSAC 1999).  No conjugate of a is formed.
+    and is not 1 since s_0 = 1, so it is minpoly(a); 2d terms determine it
+    (Massey, IEEE Trans. Inf. Theory 15, 1969; Shoup's power projection,
+    ISSAC 1999).  No conjugate of a is formed.
     """
     lo = K.lower
     powers = [K._one_raw]
-    for _ in range(2 * K.degree - 1):
+    for _ in range(2 * d - 1):
         powers.append(K._mul(powers[-1], a))
     if K.depth == 1:
         mask = (1 << K._w) - 1
@@ -1084,6 +1082,15 @@ def _pminpoly(K, a):
     return tuple(reversed(C[: L + 1]))
 
 
+def _check_minpoly(K, a, h):
+    """Raise RuntimeError unless h (raw, over K.lower) is minpoly(a).  A monic
+    h of degree |orbit(a)| (by Frobenius) with h(a) = 0 (by Horner) is; no
+    part of the check shares code with _pminpoly."""
+    if (h[-1] != K.lower._one_raw or len(h) - 1 != len(_orbit(K, a))
+            or _peval(K, [K._from_base_raw(c) for c in h], a) != K._zero_raw):
+        raise RuntimeError("minimal polynomial fails its certificate")
+
+
 def is_irreducible(f):
     """Rabin test: f | X^(Q^n) - X and gcd(X^(Q^(n/t)) - X, f) = 1 for primes t | n.
 
@@ -1102,15 +1109,14 @@ def is_irreducible(f):
     K = f.ctx
     Q = K.order
     ring = FieldContext(K.p, lower=K, modulus=f.coeffs)
-    x = ring._gen_raw()
-    x_poly = (K._zero_raw, K._one_raw)
+    x = w = ring._gen_raw()
     gcd_steps = {n // t for t in distinct_prime_factors(n)}
-    w = x
     for j in range(1, n + 1):
         w = ring._pow(w, Q)
         if j in gcd_steps:
-            g = _pgcd(K, _psub(K, ring._unpack(w), x_poly), f.coeffs)
-            if len(g) != 1:
+            try:  # gcd(w - X, f) = 1 iff w - X is a unit of K[X]/(f)
+                ring._inv(ring._sub(w, x))
+            except ZeroDivisionError:
                 return False
     return w == x
 
@@ -1120,11 +1126,12 @@ def _has_small_factor(f, steps):
     the same quotient ring K[X]/(f) as is_irreducible."""
     K = f.ctx
     ring = FieldContext(K.p, lower=K, modulus=f.coeffs)
-    x_poly = (K._zero_raw, K._one_raw)
-    w = ring._gen_raw()
+    x = w = ring._gen_raw()
     for _ in range(steps):
         w = ring._pow(w, K.order)
-        if len(_pgcd(K, _psub(K, ring._unpack(w), x_poly), f.coeffs)) != 1:
+        try:
+            ring._inv(ring._sub(w, x))
+        except ZeroDivisionError:
             return True
     return False
 
@@ -1158,14 +1165,6 @@ def evaluate_in_extension(f, x):
     return FieldElement._wrap(ext, _peval(ext, cs, x.raw))
 
 
-def project_poly_to_base(f):
-    """f with every coefficient moved down to the base field; fails if one is not in it."""
-    ext = f.ctx
-    if ext.lower is None:
-        raise ValueError("polynomial is already over a bottom-level field")
-    return Polynomial._wrap(ext.lower, tuple(ext._to_base_raw(c) for c in f.coeffs))
-
-
 def _split_root(K, f, rng):
     """One root in K of f (monic, raw coefficients), a product of distinct
     linear factors over K, by seeded gcd splitting (Cantor-Zassenhaus)."""
@@ -1194,11 +1193,12 @@ def find_root(f, ext, *, seed=DEFAULT_SEED):
     f must be monic irreducible over ext's base field GF(q), of a degree m
     dividing ext's degree L.  Its roots lie in GF(q^m), so for 1 < m < L
     one is isolated there (Lenstra, Math. Comp. 56, 1991): gamma, the trace
-    to GF(q^m) of a random z redrawn until gamma has m conjugates, has a
-    minimal polynomial h; f is split in GF(q)[Y]/(h) and the root mapped to
-    ext by Y -> gamma.  For m = 1 or m = L, f is split in ext.  The
-    smallest-index conjugate is returned, so the result depends neither on
-    the field that isolated the root nor on seed, which steers the draws.
+    to GF(q^m) of a random z redrawn until minpoly(gamma) = h (Berlekamp-
+    Massey plus its certificate) has degree m, gives GF(q)[Y]/(h), where f
+    is split and the root mapped to ext by Y -> gamma.  For m = 1 or m = L,
+    f is split in ext.  The smallest-index conjugate is returned, so the
+    result depends neither on the field that isolated the root nor on seed,
+    which steers the draws.
     """
     base = f.ctx
     if ext.lower is None or ext.lower != base:
@@ -1221,10 +1221,10 @@ def find_root(f, ext, *, seed=DEFAULT_SEED):
             for _ in range(L // m - 1):
                 z = ext._frob(z, m)
                 gamma = ext._add(gamma, z)
-            conjugates = _orbit(ext, gamma)
-            if len(conjugates) == m:
+            h = _pminpoly(ext, gamma, m)
+            if len(h) - 1 == m:
                 break
-        h = tuple(ext._to_base_raw(c) for c in _pfromroots(ext, conjugates))
+        _check_minpoly(ext, gamma, h)
         small = FieldContext(ext.p, lower=base, modulus=h)
         r = _split_root(small, [small._from_base_raw(c) for c in f.coeffs], rng)
         root = _peval(ext, [ext._from_base_raw(c) for c in small._unpack(r)], gamma)

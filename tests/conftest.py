@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import compoz as cz
+from compoz.ff import FieldElement, _orbit
 
 settings.register_profile(
     "ci",
@@ -25,6 +26,22 @@ FACTOR_NO_CC = "1,2,1,1,0,2,1"
 A_ENTRIES = ((1, 0, 2, 0), (0, 0, 0, 2), (0, 0, 2, 0), (0, 1, 0, 0))
 B_ENTRIES = ((1, 2, 1), (0, 1, 1), (0, 0, 1))
 A2I_TIMES_C = ((0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 0))
+
+
+def project_poly_to_base(f):
+    """f with every coefficient moved down to the base field; ValueError if
+    one is not in it."""
+    ext = f.ctx
+    return cz.Polynomial(ext.lower, [ext.to_base(c) for c in f.coefficients()])
+
+
+def orbit_expansion(a):
+    """Reference minimal polynomial of a over the next-lower field: the
+    product of (X - c) over the conjugates c of a, multiplied out in a's
+    field and moved down to the base."""
+    ctx = a.ctx
+    roots = [FieldElement._wrap(ctx, c) for c in _orbit(ctx, a.raw)]
+    return project_poly_to_base(cz.Polynomial.from_roots(ctx, roots))
 
 
 @pytest.fixture(scope="session")

@@ -10,13 +10,13 @@ import random
 import time
 
 import compoz as cz
-from compoz.ff import project_poly_to_base
 from conftest import (
     A2I_TIMES_C,
     A_ENTRIES,
     B_ENTRIES,
     FACTOR_NO_CC,
     PRODUCT_CC,
+    project_poly_to_base,
 )
 
 

@@ -1,11 +1,14 @@
+import inspect
 import math
 import random
+import textwrap
 
 import pytest
 
 import compoz as cz
-from compoz.ff import project_poly_to_base
+from compoz import diamond, ff
 from compoz.oracle import _grid_from_scratch
+from conftest import orbit_expansion, project_poly_to_base
 
 
 def test_phi_build_validation(F3):
@@ -252,6 +255,10 @@ def test_composed_matches_grid_expansion(field, m, n):
         product = bd.composed()
         assert product.ctx == base and product.degree == m * n
         assert product == _grid_expansion(bd)
+        entries = cz.factor_report(f, g, spec, pair=pair).entries
+        assert [e.min_poly for e in entries] == [
+            orbit_expansion(bd.value(0, j)) for j in range(gmn)
+        ]
 
 
 def _element_of_degree(ctx, d):
@@ -259,33 +266,25 @@ def _element_of_degree(ctx, d):
 
 
 def test_composed_table_value_outside_lcm_field(F2):
-    # a (2, 3) pair inside GF(2^12): a value of degree 4 does not lie in
-    # GF(2^6), its grid segment is not a union of conjugate cycles, and the
-    # grid product has a coefficient outside GF(2)
+    # a (2, 3) table inside GF(2^12): a value of degree 4 does not lie in
+    # GF(2^6), so no diamond takes it; a value of degree 6 or less does
     ctx = cz.extension_field(F2, 12, seed=0)
-    pair = cz.RootPair.from_elements(_element_of_degree(ctx, 2), _element_of_degree(ctx, 3))
-    bd = cz.DiamondSpec.from_table(2, 3, [_element_of_degree(ctx, 4)]).bind(pair)
-    with pytest.raises(RuntimeError, match="outside the base field"):
-        bd.composed()
-    with pytest.raises(ValueError):
-        _grid_expansion(bd)
+    with pytest.raises(ValueError, match=r"lie in GF\(q\^lcm\)"):
+        cz.DiamondSpec.from_table(2, 3, [_element_of_degree(ctx, 4)])
+    for d in (1, 2, 3, 6):
+        cz.DiamondSpec.from_table(2, 3, [_element_of_degree(ctx, d)])
 
 
 def test_composed_table_values_outside_lcm_field_that_close_up(F2):
-    # a (2, 4) pair inside GF(2^8), L = 4: two values of degree 8 whose
-    # segments together make one whole conjugate cycle give minpoly(v)
-    # itself; any other second value leaves the product outside GF(2)
+    # a (2, 4) table inside GF(2^8), L = 4: values of degree 8 are rejected
+    # even where their segments together make one whole conjugate cycle
     ctx = cz.extension_field(F2, 8, seed=0)
-    pair = cz.RootPair.from_elements(_element_of_degree(ctx, 2), _element_of_degree(ctx, 4))
     v = _element_of_degree(ctx, 8)
-    bd = cz.DiamondSpec.from_table(2, 4, [v, v.frobenius(4)]).bind(pair)
-    assert bd.composed() == cz.minimal_polynomial(v) == _grid_expansion(bd)
-    for w in (v, v.frobenius(1)):
-        bd = cz.DiamondSpec.from_table(2, 4, [v, w]).bind(pair)
-        with pytest.raises(RuntimeError, match="outside the base field"):
-            bd.composed()
-        with pytest.raises(ValueError):
-            _grid_expansion(bd)
+    for w in (v.frobenius(4), v, v.frobenius(1), ctx.one):
+        with pytest.raises(ValueError, match=r"lie in GF\(q\^lcm\)"):
+            cz.DiamondSpec.from_table(2, 4, [v, w])
+        with pytest.raises(ValueError, match=r"lie in GF\(q\^lcm\)"):
+            cz.DiamondSpec.from_table(2, 4, [w, v])
 
 
 def test_distinct_values_when_cc_holds(worked, small):
@@ -359,6 +358,67 @@ def test_factor_report_collapses_coinciding_orbits(F2):
     assert len(rep.entries) == 2
     assert rep.entries[0].min_poly == rep.entries[1].min_poly
     assert rep.distinct_factor_count == 1
+
+
+def _mutant(fn, old, new):
+    """fn recompiled in its own module with one source edit applied."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, old
+    namespace = {}
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         vars(inspect.getmodule(fn)), namespace)
+    return namespace[fn.__name__]
+
+
+def _full_degree_reports(field, m, n):
+    """factor_report calls on a fixed pair whose orbits all have degree lcm(m, n)."""
+    base = cz.parse_field_spec(field)
+    rng = random.Random(f"full degree {field} {m} {n}")
+    f = cz.random_irreducible(base, m, rng=rng)
+    g = cz.random_irreducible(base, n, rng=rng)
+    pair = cz.RootPair.build(f, g)
+    reports = []
+    while len(reports) < 4:
+        spec = cz.DiamondSpec.from_phi(cz.PhiPoly.random(base, m, n, rng))
+        if cz.factor_report(f, g, spec, pair=pair).all_factors_max_degree:
+            reports.append(lambda spec=spec: cz.factor_report(f, g, spec, pair=pair))
+    return reports
+
+
+@pytest.mark.parametrize(
+    "field, old, new",
+    [
+        pytest.param("2", "range(2 * d - 1)", "range(d - 1)",
+                     id="half-the-terms"),
+        # over a base of characteristic 2, add and sub are the same map
+        pytest.param("3^2:1,0,1", "sub(c, mul(coef, bj))", "add(c, mul(coef, bj))",
+                     id="add-for-sub-generic"),
+    ],
+)
+def test_factor_report_certificate_catches_bm_mutation(field, old, new, monkeypatch):
+    # the mutant also feeds composed(), so the product check alone would agree
+    reports = _full_degree_reports(field, 2, 3)
+    monkeypatch.setattr(diamond, "_pminpoly", _mutant(ff._pminpoly, old, new))
+    for report in reports:
+        with pytest.raises(RuntimeError, match="certificate"):
+            report()
+
+
+def test_factor_report_catches_composed_exponent_mutation(F2, monkeypatch):
+    # two orbits with one minimal polynomial: composed() must raise it to
+    # twice L / degree; only the product check sees an exponent that does not
+    f = cz.random_irreducible(F2, 2, seed=0)
+    g = cz.random_irreducible(F2, 4, seed=1)
+    pair = cz.RootPair.build(f, g, seed=0)
+    gamma = cz.random_normal_element(pair.ctx, seed=3)
+    spec = cz.DiamondSpec.from_table(2, 4, [gamma, gamma.frobenius(1)])
+    cz.factor_report(f, g, spec, pair=pair)
+    mutant = _mutant(
+        diamond.BoundDiamond.composed, "L * count // (len(mu) - 1)", "L // (len(mu) - 1)"
+    )
+    monkeypatch.setattr(diamond.BoundDiamond, "composed", mutant)
+    with pytest.raises(RuntimeError, match="does not reconstruct"):
+        cz.factor_report(f, g, spec, pair=pair)
 
 
 def test_factor_report_doc_is_sorted(worked):

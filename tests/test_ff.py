@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import compoz as cz
-from compoz.ff import ContextMismatchError, _pminpoly, evaluate_in_extension
+from compoz import ff
+from compoz.ff import ContextMismatchError, _check_minpoly, _pminpoly, evaluate_in_extension
 from compoz.oracle import _grid_from_scratch
+from conftest import orbit_expansion
 
 
 def _contexts():
@@ -300,7 +302,8 @@ def test_minimal_polynomial_base_element(F3):
     ],
 )
 def test_pminpoly_matches_minimal_polynomial(base_spec, degrees):
-    # Berlekamp-Massey against the expansion of the conjugate orbit
+    # Berlekamp-Massey (and minimal_polynomial, which wraps it) against the
+    # expansion of the conjugate orbit
     K = cz.parse_field_spec(base_spec)
     for d in degrees:
         K = cz.extension_field(K, d, seed=0)
@@ -317,12 +320,55 @@ def test_pminpoly_matches_minimal_polynomial(base_spec, degrees):
     elements += [K.random_element(rng) for _ in range(12)]
     found = set()
     for a in elements:
-        want = cz.minimal_polynomial(a)
-        assert _pminpoly(K, a.raw) == want.coeffs, a
+        want = orbit_expansion(a)
+        for d in (want.degree, D):
+            assert _pminpoly(K, a.raw, d) == want.coeffs, (a, d)
+        assert cz.minimal_polynomial(a) == want, a
         found.add(want.degree)
     assert 1 in found and D in found
     if proper:
         assert any(1 < d < D for d in found)
+
+
+def test_minpoly_certificate_rejects_wrong_polynomials():
+    # the certificate passes minpoly(a) and rejects a polynomial of the
+    # wrong degree, one that does not vanish at a, and a non-monic one
+    K = cz.extension_field(cz.prime_field(3), 6, seed=0)
+    a = next(x for x in K.all_elements() if cz.degree_over_base(x) == 6)
+    h = _pminpoly(K, a.raw, 6)
+    _check_minpoly(K, a.raw, h)
+    lo = K.lower
+    for bad in (
+        ff._pmul(lo, h, (1, 1)),  # h * (X + 1): vanishes at a, one degree too many
+        (lo._add(h[0], 1),) + h[1:],  # right degree, h(a) != 0
+        ff._pscale(lo, 2, h),  # 2h vanishes at a but is not monic
+    ):
+        with pytest.raises(RuntimeError, match="certificate"):
+            _check_minpoly(K, a.raw, bad)
+
+
+def test_find_root_subfield_minpoly_is_orbit_expansion(F2, monkeypatch):
+    # for 1 < m < L, find_root splits f in GF(q)[Y]/(h) with h = minpoly(gamma)
+    # of the trace gamma it drew; h must be the expansion of gamma's orbit
+    calls = []
+
+    def spy(K, a, d):
+        h = _pminpoly(K, a, d)
+        calls.append((ff.FieldElement._wrap(K, a), h))
+        return h
+
+    monkeypatch.setattr(ff, "_pminpoly", spy)
+    ext = cz.extension_field(F2, 63, seed=0)
+    for m in (7, 9):
+        f = cz.random_irreducible(F2, m, seed=m)
+        calls.clear()
+        root = cz.find_root(f, ext)
+        assert evaluate_in_extension(f, root).is_zero
+        gamma, h = calls[-1]
+        assert len(h) - 1 == m
+        assert h == orbit_expansion(gamma).coeffs
+        # every earlier draw was redrawn because its degree was not m
+        assert all(len(h0) - 1 != m for _, h0 in calls[:-1])
 
 
 @given(st.data())
