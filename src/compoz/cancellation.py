@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg
 from .diamond import MONOMIAL, PhiPoly
@@ -39,15 +39,13 @@ ROUTE_COEFFS = "coeffs"
 ROUTE_MATRIX = "matrix"
 
 
-@dataclass(frozen=True)
-class CcWitness:
+class CcWitness(NamedTuple):
     k: int
     side: str
     orbit: int
 
 
-@dataclass(frozen=True)
-class CcVerdict:
+class CcVerdict(NamedTuple):
     holds: bool
     route: str
     witness: CcWitness = None

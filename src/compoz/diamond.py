@@ -13,16 +13,16 @@ with the q-power map, since (a diamond b)^q = a^q diamond b^q.
 The composed product is never expanded from its m*n linear factors: each
 orbit contributes a power of its representative's minimal polynomial, found
 by Berlekamp-Massey over the base.  factor_report checks each of those by
-Berlekamp-Massey plus a certificate (degree = orbit length, h(gamma) = 0)
-and checks that the product of its factors agrees with composed().
+a certificate (degree = orbit length, h(gamma) = 0) and checks that the
+product of its factors agrees with composed().
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg
 from .ff import (
@@ -48,8 +48,7 @@ LINEARIZED = "linearized"
 SCHEMA = "compoz/1"
 
 
-@dataclass(frozen=True)
-class PhiPoly:
+class PhiPoly(NamedTuple):
     """Bivariate polynomial over the base field as an m x n coefficient grid.
 
     rows[i][j] is the coefficient of X^i Y^j (monomial basis) or of
@@ -250,8 +249,7 @@ class RootPair:
                    alpha.ctx, alpha, beta)
 
 
-@dataclass(frozen=True)
-class DiamondSpec:
+class DiamondSpec(NamedTuple):
     """Either a PhiPoly or a table of values on orbit representatives (0, j)."""
 
     kind: str
@@ -289,7 +287,7 @@ class DiamondSpec:
 class BoundDiamond:
     """A diamond spec evaluated on the full conjugate grid of a root pair."""
 
-    __slots__ = ("spec", "pair", "vals", "_composed")
+    __slots__ = ("spec", "pair", "vals", "_composed", "_mins")
 
     def __init__(self, spec, pair):
         m, n = pair.m, pair.n
@@ -299,7 +297,7 @@ class BoundDiamond:
             )
         self.spec = spec
         self.pair = pair
-        self._composed = None
+        self._composed = self._mins = None
         ctx = pair.ctx
         g = math.gcd(m, n)
         if spec.kind == "phi":
@@ -334,15 +332,17 @@ class BoundDiamond:
         so the product is prod_j minpoly(gamma_j)^(L / deg), with each
         minimal polynomial found by Berlekamp-Massey over the base instead of
         expanding the m*n linear factors (Brawley-Carlitz, 1987); equal
-        minimal polynomials are raised to one combined power.
+        minimal polynomials are raised to one combined power.  The raw
+        minimal polynomials, one per orbit representative, stay in _mins for
+        the factor report to certify.
         """
         if self._composed is None:
             ctx, base = self.pair.ctx, self.pair.base
             m, n = self.pair.m, self.pair.n
             L = math.lcm(m, n)
-            mins = Counter(_pminpoly(ctx, raw, L) for raw in self.vals[0][: math.gcd(m, n)])
+            self._mins = tuple(_pminpoly(ctx, raw, L) for raw in self.vals[0][: math.gcd(m, n)])
             product = Polynomial.one(base)
-            for mu, count in mins.items():
+            for mu, count in Counter(self._mins).items():
                 power = L * count // (len(mu) - 1)
                 product = product * Polynomial._wrap(base, mu) ** power
             self._composed = product
@@ -362,16 +362,14 @@ def composed_product(f, g, spec, *, pair=None, seed=DEFAULT_SEED):
     return spec.bind(pair).composed()
 
 
-@dataclass(frozen=True)
-class FactorEntry:
+class FactorEntry(NamedTuple):
     orbit: int
     degree: int
     multiplicity: int
     min_poly: Polynomial
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(NamedTuple):
     """Structure of f diamond g over the base field, one entry per orbit."""
 
     q: int
@@ -418,11 +416,12 @@ def factor_report(f, g, spec, *, pair=None, seed=DEFAULT_SEED):
     """Per-orbit factors of f diamond g with degrees and multiplicities.
 
     Entry j describes the minimal polynomial of the value at (0, j); its
-    multiplicity is lcm(m, n) / degree.  Each minimal polynomial is found by
-    Berlekamp-Massey plus a certificate (degree = orbit length, h(gamma) =
-    0) that shares no code with it, and the product of the entries is
-    checked against composed(), which groups equal minimal polynomials; a
-    failed certificate or a mismatch is a hard error (RuntimeError).
+    multiplicity is lcm(m, n) / degree.  Each minimal polynomial is the one
+    composed() found by Berlekamp-Massey, checked by a certificate (degree =
+    orbit length, h(gamma) = 0) that shares no code with it, and the product
+    of the entries is checked against composed(), which groups equal
+    minimal polynomials; a failed certificate or a mismatch is a hard error
+    (RuntimeError).
     """
     if pair is None:
         pair = RootPair.build(f, g, seed=seed)
@@ -435,9 +434,9 @@ def _factor_report(bd):
     m, n = pair.m, pair.n
     g_ = math.gcd(m, n)
     L = m // g_ * n
+    composed = bd.composed()
     entries = []
-    for j, raw in enumerate(bd.vals[0][:g_]):
-        h = _pminpoly(pair.ctx, raw, L)
+    for j, (raw, h) in enumerate(zip(bd.vals[0][:g_], bd._mins)):
         _check_minpoly(pair.ctx, raw, h)
         r = len(h) - 1
         entries.append(
@@ -447,7 +446,7 @@ def _factor_report(bd):
     product = Polynomial.one(pair.base)
     for e in entries:
         product = product * e.min_poly**e.multiplicity
-    if product != bd.composed():
+    if product != composed:
         raise RuntimeError("factor report does not reconstruct the composed product")
     cc = all(
         math.lcm(e.degree, m) == L and math.lcm(e.degree, n) == L for e in entries

@@ -794,9 +794,13 @@ class FieldElement:
 
 
 class Polynomial:
-    """Dense univariate polynomial over a FieldContext."""
+    """Dense univariate polynomial over a FieldContext.
 
-    __slots__ = ("ctx", "coeffs")
+    _irreducible, unset until is_irreducible runs on the polynomial, holds
+    that test's verdict.
+    """
+
+    __slots__ = ("ctx", "coeffs", "_irreducible")
 
     def __init__(self, ctx, coeffs=()):
         self.ctx = ctx
@@ -1095,7 +1099,8 @@ def is_irreducible(f):
     """Rabin test: f | X^(Q^n) - X and gcd(X^(Q^(n/t)) - X, f) = 1 for primes t | n.
 
     The powers X^(Q^j) are taken in the quotient ring K[X]/(f), so over a
-    prime field the test runs on the packed kernel.
+    prime field the test runs on the packed kernel.  The verdict is kept on
+    f, so testing the same polynomial again builds no quotient ring.
     """
     if not isinstance(f, Polynomial):
         raise TypeError("expected a Polynomial")
@@ -1106,6 +1111,15 @@ def is_irreducible(f):
         raise ValueError("irreducibility test requires a monic polynomial")
     if n == 1:
         return True
+    verdict = getattr(f, "_irreducible", None)
+    if verdict is None:
+        verdict = f._irreducible = _rabin(f)
+    return verdict
+
+
+def _rabin(f):
+    """is_irreducible for a monic f of degree >= 2, without the memo."""
+    n = f.degree
     K = f.ctx
     Q = K.order
     ring = FieldContext(K.p, lower=K, modulus=f.coeffs)

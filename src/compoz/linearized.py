@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .diamond import LINEARIZED, PhiPoly
@@ -33,8 +33,7 @@ from .ff import (
 from .orbits import nu_p
 
 
-@dataclass(frozen=True)
-class QPolynomial:
+class QPolynomial(NamedTuple):
     """A q-polynomial sum c_i X^(q^i); coeffs[i] is the coefficient of X^(q^i)."""
 
     ctx: object
@@ -169,8 +168,7 @@ def linearized_degree_criterion(psi, m):
 # -- staircase polynomials -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StaircasePoly:
+class StaircasePoly(NamedTuple):
     """Diagonal read-out of a linearized coefficient grid.
 
     poly has coefficient c_(k mod m, k mod n) at X^k for k = 0 .. mn-1.
@@ -240,13 +238,7 @@ def evaluate_bilinear(phi, alpha, beta):
 # -- twisted binomial products --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistedParams:
-    """Parameters of the binomial product alpha^(q^k) beta +- alpha beta^(q^l).
-
-    d is the shift constant of the companion additive family alpha+beta+d.
-    """
-
+class _TwistedFields(NamedTuple):
     q: int
     m: int
     n: int
@@ -255,7 +247,17 @@ class TwistedParams:
     sign: str = "+"
     d: int = 0
 
-    def __post_init__(self):
+
+class TwistedParams(_TwistedFields):
+    """Parameters of the binomial product alpha^(q^k) beta +- alpha beta^(q^l).
+
+    d is the shift constant of the companion additive family alpha+beta+d.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not _is_prime_power(self.q):
             raise ValueError(f"q = {self.q} is not a prime power")
         if self.sign not in ("+", "-"):
@@ -264,6 +266,12 @@ class TwistedParams:
             raise ValueError("m and n must be coprime")
         if not (0 <= self.k < self.m and 0 <= self.l < self.n):
             raise ValueError("twists must satisfy 0 <= k < m and 0 <= l < n")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip __new__
+        return cls(*iterable)
 
 
 def twisted_product_phi(ctx, params):

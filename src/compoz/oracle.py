@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cancellation import ROUTE_DIRECT, ROUTES, run_routes
 from .diamond import MONOMIAL, SCHEMA, DiamondSpec, PhiPoly, RootPair, _factor_report
@@ -185,8 +185,7 @@ def brute_admissible_degrees(m, n):
 # -- sweep runners -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Grid of base fields and degree pairs for the agreement sweeps."""
 
     fields: tuple

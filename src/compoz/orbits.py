@@ -9,7 +9,7 @@ module is plain integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ff import _is_prime, distinct_prime_factors
 
@@ -54,8 +54,7 @@ def crt_general(a1, m, a2, n):
     return (a1 + m * t) % lcm
 
 
-@dataclass(frozen=True)
-class OrbitStructure:
+class OrbitStructure(NamedTuple):
     """Transversal data for the (1,1)-shift action on Z_m x Z_n."""
 
     m: int
@@ -92,8 +91,7 @@ def same_orbit(u, v, i, j, m, n):
     return ((u - i) + (v - j)) % math.gcd(m, n) == 0
 
 
-@dataclass(frozen=True)
-class CoprimeDecomposition:
+class CoprimeDecomposition(NamedTuple):
     """Pairwise-coprime splitting m = o*m1*m2 and n = o*n1*n2.
 
     o carries the primes where the valuations of m and n agree, m1 the

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -258,3 +261,12 @@ def test_element_text_via_extension_field(capsys):
         "--element", element,
     )
     assert code2 == 0
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # a one-shot query pays for every module the CLI imports
+    code = "import sys, compoz.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"

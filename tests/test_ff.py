@@ -122,6 +122,26 @@ def test_irreducible_agrees_with_trial_division(data):
     assert cz.is_irreducible(f) == brute
 
 
+def test_irreducibility_verdict_is_kept_on_the_polynomial(F3, monkeypatch):
+    # RootPair.build and find_root both test f; only the first builds F3[X]/(f)
+    f = cz.poly_from_text(F3, "2,0,1,0,1")
+    g = cz.poly_from_text(F3, "1,2,0,1")
+    rings = []
+    init = ff.FieldContext.__init__
+
+    def counting_init(self, p, lower=None, modulus=None):
+        if lower == F3 and modulus == f.coeffs:
+            rings.append(modulus)
+        init(self, p, lower, modulus)
+
+    monkeypatch.setattr(ff.FieldContext, "__init__", counting_init)
+    cz.RootPair.build(f, g)
+    assert len(rings) == 1
+    assert cz.is_irreducible(f) and len(rings) == 1
+    square = cz.poly_from_text(F3, "1,2,1")  # (X+1)^2
+    assert not cz.is_irreducible(square) and not cz.is_irreducible(square)
+
+
 def test_random_irreducible_contract(F2):
     f = cz.random_irreducible(F2, 6, seed=3)
     assert f.degree == 6 and f.is_monic and cz.is_irreducible(f)
