@@ -47,10 +47,11 @@ from .linearized import (
 )
 
 
-# Largest field order that compose, check-cc and factor (q^lcm(m, n)) and
-# staircase (q^(m n)) accept.  lcm(m, n) = 100 over GF(3) (about 2^159)
-# stays well inside; larger inputs would build fields whose root finding
-# runs without practical bound.
+# Largest field order that compose, check-cc, factor and sample-phi
+# (q^lcm(m, n)), staircase (q^(m n)) and normal (q^deg(mod)) accept.
+# lcm(m, n) = 100 over GF(3) (about 2^159) stays well inside; larger inputs
+# would build fields whose root finding or rank computations run without
+# practical bound.
 MAX_FIELD_ORDER = 2**256
 
 # Largest --count that sample-phi accepts.  Each sample is a rejection loop
@@ -84,8 +85,8 @@ def _check_size_cap(base, degree, what):
         )
 
 
-def _load_instance(args):
-    """Base field, f, g and phi of a compose / check-cc / factor run.
+def _load_fg(args):
+    """Base field, f and g of a run that binds roots of f and g.
 
     The size cap is checked as soon as f and g are known, before any
     extension field is built.
@@ -99,6 +100,12 @@ def _load_instance(args):
             math.lcm(f.degree, g.degree),
             "q^lcm(m, n), f of degree m and g of degree n",
         )
+    return base, f, g
+
+
+def _load_instance(args):
+    """Base field, f, g and phi of a compose / check-cc / factor run."""
+    base, f, g = _load_fg(args)
     return base, f, g, _load_phi(base, args.phi)
 
 
@@ -191,9 +198,7 @@ def _cmd_factor(args):
 def _cmd_sample_phi(args):
     if not 1 <= args.count <= MAX_SAMPLE_COUNT:
         raise ValueError(f"--count must be between 1 and {MAX_SAMPLE_COUNT}, got {args.count}")
-    base = parse_field_spec(args.q)
-    f = _load_poly(base, args.f)
-    g = _load_poly(base, args.g)
+    base, f, g = _load_fg(args)
     phis = sample_cc_phi_matrices(f, g, args.count, seed=args.seed)
     doc = {
         "schema": SCHEMA,
@@ -212,6 +217,8 @@ def _cmd_sample_phi(args):
 def _cmd_normal(args):
     base = parse_field_spec(args.q)
     mod = _load_poly(base, args.mod)
+    if mod.degree:
+        _check_size_cap(base, mod.degree, "q^deg(mod)")
     ctx = base.extension(mod)
     if args.random:
         elem = random_normal_element(ctx, seed=args.seed)

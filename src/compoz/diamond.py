@@ -32,15 +32,16 @@ from .ff import (
     FieldElement,
     Polynomial,
     _check_minpoly,
-    _pfromroots,
+    _orbit_factors,
     _pminpoly,
+    _raw_from_text,
+    _raw_to_text,
     extension_field,
     find_root,
     is_irreducible,
     minimal_polynomial,
     poly_to_text,
 )
-from .orbits import orbit_reps
 
 MONOMIAL = "monomial"
 LINEARIZED = "linearized"
@@ -111,30 +112,27 @@ class PhiPoly(NamedTuple):
             raise ContextMismatchError("arguments must share a context")
         if ext.lower is None or ext.lower != self.ctx:
             raise ContextMismatchError("arguments must lie in an extension of the base")
-        zl = self.ctx._zero_raw
-        if self.basis == MONOMIAL:
-            ypow = [ext._one_raw]
-            for _ in range(1, self.n):
-                ypow.append(ext._mul(ypow[-1], y.raw))
-            acc = ext._zero_raw
-            for i in range(self.m - 1, -1, -1):
-                acc = ext._mul(acc, x.raw)
-                row = self.rows[i]
-                for j, c in enumerate(row):
-                    if c != zl:
-                        acc = ext._add(acc, ext._scalar_mul(c, ypow[j]))
-            return FieldElement._wrap(ext, acc)
-        xc = [x.raw]
-        for _ in range(1, self.m):
-            xc.append(ext._frob(xc[-1], 1))
-        yc = [y.raw]
-        for _ in range(1, self.n):
-            yc.append(ext._frob(yc[-1], 1))
-        acc = ext._zero_raw
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
+        # sum_i x_i (sum_j c_ij y_j), with x_i = x^i, y_j = y^j (monomial)
+        # or x_i = x^(q^i), y_j = y^(q^j) (linearized)
+        mul, add, smul, one = ext._mul, ext._add, ext._scalar_mul, ext._one_raw
+        mono = self.basis == MONOMIAL
+
+        def terms(a, count):
+            out = [one if mono else a]
+            for _ in range(1, count):
+                out.append(mul(out[-1], a) if mono else ext._frob(out[-1], 1))
+            return out
+
+        ys = terms(y.raw, self.n)
+        zl, zero = self.ctx._zero_raw, ext._zero_raw
+        acc = zero
+        for xi, row in zip(terms(x.raw, self.m), self.rows):
+            inner = zero
+            for c, yj in zip(row, ys):
                 if c != zl:
-                    acc = ext._add(acc, ext._scalar_mul(c, ext._mul(xc[i], yc[j])))
+                    inner = add(inner, smul(c, yj))
+            if inner != zero:
+                acc = add(acc, inner if xi == one else mul(xi, inner))
         return FieldElement._wrap(ext, acc)
 
     def to_text(self):
@@ -146,8 +144,6 @@ class PhiPoly(NamedTuple):
         """
         head = f"{self.ctx.order} {self.m} {self.n} {self.basis}"
         lines = [head]
-        from .ff import _raw_to_text
-
         for row in self.rows:
             lines.append(" ".join(_raw_to_text(self.ctx, c, 1) for c in row))
         return "\n".join(lines) + "\n"
@@ -170,8 +166,6 @@ class PhiPoly(NamedTuple):
             raise ValueError(f"phi header field order {q} does not match {ctx.order}")
         if len(lines) - 1 != m:
             raise ValueError(f"expected {m} coefficient rows, got {len(lines) - 1}")
-        from .ff import _raw_from_text
-
         rows = []
         for ln in lines[1:]:
             parts = ln.split()
@@ -471,7 +465,10 @@ def intermediate_factorization(f, g, spec, k, l, *, pair=None, seed=DEFAULT_SEED
     Returns the k*l factors of degree m*n/(k*l); their product is the
     composed product with coefficients embedded upward.  When the diamond
     satisfies conjugate cancellation the factors are irreducible and their
-    coefficients generate GF(q^(k*l)).
+    coefficients generate GF(q^(k*l)).  The factors are Frobenius conjugates
+    of one another, so one of them is multiplied out in the root field and
+    projected, and the rest follow by applying the q-power map to its
+    coefficients.
     """
     if pair is None:
         pair = RootPair.build(f, g, seed=seed)
@@ -485,25 +482,20 @@ def intermediate_factorization(f, g, spec, k, l, *, pair=None, seed=DEFAULT_SEED
     bd = spec.bind(pair)
     if k * l == 1:
         return [bd.composed()]
-    base = pair.base
-    ctx_kl = extension_field(base, k * l, seed=seed)
+    ctx_kl = extension_field(pair.base, k * l, seed=seed)
     emb = _cached_embedding(ctx_kl, pair.ctx, seed)
-    ctx = pair.ctx
-    factors = []
-    for mu in range(k):
-        for nu in range(l):
-            roots = [
-                bd.value(k * i + mu, l * j + nu).raw
-                for i in range(m // k)
-                for j in range(n // l)
-            ]
-            poly = Polynomial._wrap(ctx, _pfromroots(ctx, roots))
-            try:
-                factors.append(emb.project_poly(poly))
-            except ValueError as exc:
-                raise RuntimeError(
-                    "intermediate factor has a coefficient outside GF(q^(k*l))"
-                ) from exc
+    # cell (t mod m, t mod n) holds gamma^(q^t), so factor t < k*l collects
+    # the cells with t = mu (mod k) and t = nu (mod l); pair.ctx may be larger
+    # than GF(q^(m n)), so the orbit length is m*n, not its degree
+    try:
+        hs = _orbit_factors(emb, bd.vals[0][0], m * n // (k * l))
+    except ValueError as exc:
+        raise RuntimeError(
+            "intermediate factor has a coefficient outside GF(q^(k*l))"
+        ) from exc
+    factors = [None] * (k * l)
+    for t, h in enumerate(hs):
+        factors[t % k * l + t % l] = h
     return factors
 
 
@@ -516,7 +508,6 @@ def _cached_embedding(small, big, seed):
 def table_spec_from_phi(phi, pair):
     """Rebuild a phi diamond as an explicit value table on representatives."""
     bd = DiamondSpec.from_phi(phi).bind(pair)
-    reps = orbit_reps(pair.m, pair.n)
     return DiamondSpec.from_table(
-        pair.m, pair.n, [bd.value(*rep) for rep in reps.representatives]
+        pair.m, pair.n, [bd.value(0, j) for j in range(math.gcd(pair.m, pair.n))]
     )

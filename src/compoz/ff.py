@@ -1311,6 +1311,24 @@ class Embedding:
         )
 
 
+def _orbit_factors(emb, a, count):
+    """[h_0, ..., h_(d-1)] over emb.small, d its degree over the common base.
+
+    h_0 = prod_(s < count) (X - a^(q^(d s))) is multiplied out once in
+    emb.big and projected; h_t is h_0 with each coefficient raised to the
+    q^t-th power, which is the product over the roots a^(q^(t + d s)) since
+    the embedding commutes with Frobenius.  ValueError when h_0 has a
+    coefficient outside the embedded subfield.
+    """
+    big, small = emb.big, emb.small
+    d = small.degree
+    roots = [a]
+    for _ in range(1, count):
+        roots.append(big._frob(roots[-1], d))
+    h0 = emb.project_poly(Polynomial._wrap(big, _pfromroots(big, roots))).coeffs
+    return [Polynomial._wrap(small, tuple(small._frob(c, t) for c in h0)) for t in range(d)]
+
+
 def conjugate_factor_over_subfield(f, k, *, seed=DEFAULT_SEED):
     """Factor a monic irreducible f of degree m over the subfield of degree k | m.
 
@@ -1329,13 +1347,8 @@ def conjugate_factor_over_subfield(f, k, *, seed=DEFAULT_SEED):
     if k == 1:
         return [f]
     ctx_m = base.extension(f, check=False)
-    alpha = ctx_m.generator()
-    sub = extension_field(base, k, seed=seed)
-    emb = Embedding.find(sub, ctx_m, seed=seed)
-    d = m // k
-    roots = [alpha.frobenius(k * i) for i in range(d)]
-    f0 = emb.project_poly(Polynomial.from_roots(ctx_m, roots))
-    return [f0.map_coefficients(lambda c, mu=mu: c.frobenius(mu)) for mu in range(k)]
+    emb = Embedding.find(extension_field(base, k, seed=seed), ctx_m, seed=seed)
+    return _orbit_factors(emb, ctx_m._gen_raw(), m // k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Integer bookkeeping for simultaneous-Frobenius orbits of exponent pairs.
+"""Integer bookkeeping for the factor degrees of composed products.
 
-Pairs (i, j) in Z_m x Z_n are equivalent when they differ by a multiple of
-(1, 1).  There are gcd(m, n) orbits, each of length lcm(m, n), and the
-family {(0, j) : j < gcd(m, n)} is a transversal.  Everything in this
-module is plain integer arithmetic.
+Pairs (i, j) in Z_m x Z_n fall into gcd(m, n) orbits of length lcm(m, n)
+under the shift by (1, 1) (Brawley-Carlitz, 1987); BoundDiamond lays its
+value grid out along them.  This module holds the arithmetic on m and n
+that the factor-structure checks use: divisors, p-adic valuations and the
+coprime decomposition that gives the admissible factor degrees.
+Everything here is plain integer arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .ff import _is_prime, distinct_prime_factors
@@ -35,60 +36,6 @@ def nu_p(p, a):
         a //= p
         v += 1
     return v
-
-
-def crt_general(a1, m, a2, n):
-    """Solve x = a1 (mod m), x = a2 (mod n) for possibly non-coprime moduli.
-
-    Returns the unique solution modulo lcm(m, n), or None when
-    gcd(m, n) does not divide a1 - a2.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("moduli must be >= 1")
-    g = math.gcd(m, n)
-    if (a1 - a2) % g != 0:
-        return None
-    lcm = m // g * n
-    m_, n_ = m // g, n // g
-    t = (a2 - a1) // g * pow(m_, -1, n_) % n_
-    return (a1 + m * t) % lcm
-
-
-class OrbitStructure(NamedTuple):
-    """Transversal data for the (1,1)-shift action on Z_m x Z_n."""
-
-    m: int
-    n: int
-    gcd: int
-    lcm: int
-    representatives: tuple
-
-    def representative_of(self, i, j):
-        """The transversal member (0, j') in the orbit of (i, j)."""
-        return (0, (j - i) % self.gcd)
-
-    def cells(self, rep):
-        """All lcm(m, n) cells of the orbit of the representative, walk order."""
-        _, j0 = rep
-        return [((t) % self.m, (j0 + t) % self.n) for t in range(self.lcm)]
-
-
-def orbit_reps(m, n):
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    g = math.gcd(m, n)
-    return OrbitStructure(
-        m=m,
-        n=n,
-        gcd=g,
-        lcm=m // g * n,
-        representatives=tuple((0, j) for j in range(g)),
-    )
-
-
-def same_orbit(u, v, i, j, m, n):
-    """Whether (u, v) and (i, j) share an orbit: gcd(m, n) | (u - i) + (v - j)."""
-    return ((u - i) + (v - j)) % math.gcd(m, n) == 0
 
 
 class CoprimeDecomposition(NamedTuple):

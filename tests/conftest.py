@@ -44,6 +44,44 @@ def orbit_expansion(a):
     return project_poly_to_base(cz.Polynomial.from_roots(ctx, roots))
 
 
+def intermediate_by_cells(bd, k, l, small):
+    """Reference intermediate factorization of a bound diamond: factor
+    mu * l + nu is the product of (X - value) over the grid cells
+    (k i + mu, l j + nu), multiplied out in the root field and moved down to
+    small = GF(q^(k l)), or to the base when k = l = 1."""
+    pair = bd.pair
+    emb = None if k * l == 1 else cz.Embedding.find(small, pair.ctx)
+    factors = []
+    for mu in range(k):
+        for nu in range(l):
+            roots = [
+                bd.value(k * i + mu, l * j + nu)
+                for i in range(pair.m // k)
+                for j in range(pair.n // l)
+            ]
+            product = cz.Polynomial.from_roots(pair.ctx, roots)
+            factors.append(
+                project_poly_to_base(product) if emb is None else emb.project_poly(product)
+            )
+    return factors
+
+
+def conjugate_factors_by_roots(f, k, small):
+    """Reference factorization of an irreducible f of degree m over
+    small = GF(q^k), k | m: factor t is the product of (X - alpha^(q^(t + k i))),
+    i < m / k, for alpha the class of X in GF(q)[X]/(f), multiplied out
+    there and moved down to small."""
+    ctx = f.ctx.extension(f)
+    alpha = ctx.generator()
+    emb = cz.Embedding.find(small, ctx)
+    return [
+        emb.project_poly(cz.Polynomial.from_roots(
+            ctx, [alpha.frobenius(t + k * i) for i in range(f.degree // k)]
+        ))
+        for t in range(k)
+    ]
+
+
 @pytest.fixture(scope="session")
 def F2():
     return cz.prime_field(2)

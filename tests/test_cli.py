@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from compoz import cli, ff
 from compoz.cli import MAX_SAMPLE_COUNT, main
 from conftest import PRODUCT_CC
 
@@ -247,6 +248,23 @@ def test_usage_errors(capsys):
     for count in ("-3", "0", str(MAX_SAMPLE_COUNT + 1)):
         code, out, err = run(capsys, "sample-phi", *WORKED, "--count", count)
         assert code == 2 and out == "" and "--count" in err
+
+
+def test_normal_and_sample_phi_refuse_fields_past_the_cap(capsys, monkeypatch):
+    # both are refused before any extension field is built or any phi drawn
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built a field past the size cap")
+
+    monkeypatch.setattr(ff.FieldContext, "extension", unreachable)
+    monkeypatch.setattr(cli, "sample_cc_phi_matrices", unreachable)
+    x257 = "1," + "0," * 256 + "1"  # x^257 + 1 over GF(2): 2^257 elements
+    for flags in (("--random",), ("--element", "0/1")):
+        code, out, err = run(capsys, "normal", "--q", "2", "--mod", x257, *flags)
+        assert code == 2 and out == "" and "size cap" in err
+    # degrees 16 and 17 over GF(2): 2^lcm = 2^272
+    f16, g17 = "1,1" + ",0" * 14 + ",1", "1,1" + ",0" * 15 + ",1"
+    code, out, err = run(capsys, "sample-phi", "--q", "2", "--f", f16, "--g", g17, "--count", "1")
+    assert code == 2 and out == "" and "size cap" in err
 
 
 def test_element_text_via_extension_field(capsys):

@@ -8,7 +8,8 @@ import pytest
 import compoz as cz
 from compoz import diamond, ff
 from compoz.oracle import _grid_from_scratch
-from conftest import orbit_expansion, project_poly_to_base
+from compoz.orbits import divisors
+from conftest import intermediate_by_cells, orbit_expansion, project_poly_to_base
 
 
 def test_phi_build_validation(F3):
@@ -105,7 +106,8 @@ def test_phi_evaluate_matches_grid(F3):
 
 @pytest.mark.parametrize(
     "field, m, n",
-    [("2", 3, 4), ("3", 2, 5), ("2", 4, 6), ("3", 3, 6), ("2^2:1,1,1", 3, 2), ("2^2:1,1,1", 2, 4)],
+    [("2", 3, 4), ("3", 2, 5), ("2", 4, 6), ("3", 3, 6), ("2^2:1,1,1", 3, 2), ("2^2:1,1,1", 2, 4),
+     ("2", 4, 8), ("3", 3, 3)],
 )
 def test_grid_matches_oracle(field, m, n):
     # every cell of the bound grid against the independent evaluator, for phi
@@ -511,6 +513,56 @@ def test_intermediate_mixed(worked):
         acc = acc * h
     assert project_poly_to_base(acc) == worked.product_cc
     assert all(cz.is_irreducible(h) for h in outs)
+
+
+@pytest.mark.parametrize(
+    "field, m, n, wide",
+    [("2", 2, 3, False), ("3", 4, 3, False), ("2", 3, 4, False), ("3", 2, 5, False),
+     ("2^2:1,1,1", 3, 2, False), ("2", 2, 3, True), ("3", 3, 2, True)],
+)
+def test_intermediate_matches_cell_expansion(field, m, n, wide):
+    # every (k, l) against the per-cell expansion, for phis that cancel and
+    # phis that do not and a table spec; a wide pair has its roots in
+    # GF(q^(2 m n)), twice the field RootPair.build picks
+    base = cz.parse_field_spec(field)
+    rng = random.Random(f"intermediate {field} {m} {n} {wide}")
+    f = cz.random_irreducible(base, m, rng=rng)
+    g = cz.random_irreducible(base, n, rng=rng)
+    if wide:
+        ext = cz.extension_field(base, 2 * m * n, seed=3)
+        pair = cz.RootPair.from_elements(cz.find_root(f, ext), cz.find_root(g, ext))
+        assert pair.ctx.degree == 2 * m * n
+    else:
+        pair = cz.RootPair.build(f, g, seed=1)
+    specs = [cz.DiamondSpec.from_phi(phi) for phi in cz.sample_cc_phi_matrices(f, g, 2, rng=rng)]
+    while len(specs) < 4:
+        spec = cz.DiamondSpec.from_phi(cz.PhiPoly.random(base, m, n, rng))
+        if not cz.cc_direct(spec.bind(pair)).holds:
+            specs.append(spec)
+    value = pair.ctx.random_element(rng)
+    if wide:
+        value = value + value.frobenius(m * n)  # the trace down to GF(q^(m n))
+    specs.append(cz.DiamondSpec.from_table(m, n, [value]))
+    for spec in specs:
+        bd = spec.bind(pair)
+        for k in divisors(m):
+            for l in divisors(n):
+                hs = cz.intermediate_factorization(f, g, spec, k, l, pair=pair)
+                assert hs == intermediate_by_cells(bd, k, l, hs[0].ctx)
+
+
+def test_intermediate_expands_one_orbit_product(worked, monkeypatch):
+    calls = []
+    real = diamond._orbit_factors
+
+    def spy(emb, a, count):
+        calls.append(count)
+        return real(emb, a, count)
+
+    monkeypatch.setattr(diamond, "_orbit_factors", spy)
+    spec = cz.DiamondSpec.from_phi(worked.phi_cc)
+    outs = cz.intermediate_factorization(worked.f, worked.g, spec, 2, 3, pair=worked.pair)
+    assert len(outs) == 6 and calls == [2]
 
 
 def test_intermediate_rejects_bad_divisors(worked):

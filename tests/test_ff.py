@@ -8,7 +8,8 @@ import compoz as cz
 from compoz import ff
 from compoz.ff import ContextMismatchError, _check_minpoly, _pminpoly, evaluate_in_extension
 from compoz.oracle import _grid_from_scratch
-from conftest import orbit_expansion
+from compoz.orbits import divisors
+from conftest import conjugate_factors_by_roots, orbit_expansion
 
 
 def _contexts():
@@ -436,6 +437,22 @@ def test_conjugate_factor_quadratic_split(worked):
     # the two factors are coefficient-wise Frobenius images of each other
     twisted = parts[0].map_coefficients(lambda c: c.frobenius(1))
     assert twisted == parts[1]
+
+
+@pytest.mark.parametrize("field, m", [("2", 6), ("3", 4), ("2", 8), ("2^2:1,1,1", 4)])
+def test_conjugate_factor_matches_root_expansion(field, m):
+    base = cz.parse_field_spec(field)
+    f = cz.random_irreducible(base, m, seed=m)
+    assert cz.conjugate_factor_over_subfield(f, 1) == [f]
+    for k in divisors(m)[1:]:
+        parts = cz.conjugate_factor_over_subfield(f, k)
+        sub = parts[0].ctx
+        assert sub.degree == k
+        assert parts == conjugate_factors_by_roots(f, k, sub)
+        product = cz.Polynomial.one(sub)
+        for h in parts:
+            product = product * h
+        assert product == cz.Polynomial(sub, [sub.from_base(c) for c in f.coefficients()])
 
 
 def test_conjugate_factor_rejects_bad_k(worked):

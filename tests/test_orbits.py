@@ -23,88 +23,6 @@ def test_nu_p_definition(p, a):
     assert a % p**v == 0 and a % p ** (v + 1) != 0
 
 
-# -- generalized CRT -------------------------------------------------------------
-
-
-def test_crt_examples():
-    assert orbits.crt_general(5, 7, 5, 3) == 5
-    assert orbits.crt_general(0, 4, 1, 6) is None  # gcd 2 does not divide 1
-    assert orbits.crt_general(1, 2, 3, 4) == 3
-
-
-@given(st.integers(1, 20), st.integers(1, 20), st.data())
-def test_crt_solution_properties(m, n, data):
-    a1 = data.draw(st.integers(0, m - 1))
-    a2 = data.draw(st.integers(0, n - 1))
-    x = orbits.crt_general(a1, m, a2, n)
-    solvable = (a1 - a2) % math.gcd(m, n) == 0
-    if not solvable:
-        assert x is None
-    else:
-        L = math.lcm(m, n)
-        assert 0 <= x < L
-        assert x % m == a1 % m and x % n == a2 % n
-
-
-def test_crt_agrees_with_scan_small():
-    for m in range(1, 11):
-        for n in range(1, 11):
-            L = math.lcm(m, n)
-            for a1 in range(m):
-                for a2 in range(n):
-                    scan = [x for x in range(L) if x % m == a1 and x % n == a2]
-                    got = orbits.crt_general(a1, m, a2, n)
-                    if scan:
-                        assert got == scan[0] and len(scan) == 1
-                    else:
-                        assert got is None
-
-
-# -- orbits ----------------------------------------------------------------------
-
-
-def test_orbit_reps_examples():
-    assert orbits.orbit_reps(2, 3).representatives == ((0, 0),)
-    st46 = orbits.orbit_reps(4, 6)
-    assert st46.representatives == ((0, 0), (0, 1))
-    assert st46.lcm == 12 and st46.gcd == 2
-    st55 = orbits.orbit_reps(5, 5)
-    assert st55.representatives == tuple((0, j) for j in range(5))
-
-
-def test_orbits_partition_up_to_30():
-    for m in range(1, 31):
-        for n in range(1, 31):
-            s = orbits.orbit_reps(m, n)
-            seen = {}
-            for rep in s.representatives:
-                cells = s.cells(rep)
-                assert len(cells) == s.lcm
-                for cell in cells:
-                    assert cell not in seen
-                    seen[cell] = rep
-            assert len(seen) == m * n
-            for (i, j), rep in seen.items():
-                assert s.representative_of(i, j) == rep
-
-
-def test_same_orbit_examples():
-    assert orbits.same_orbit(0, 0, 0, 0, 4, 6)
-    assert orbits.same_orbit(1, 1, 0, 0, 4, 6)
-    assert not orbits.same_orbit(0, 1, 0, 0, 4, 6)
-
-
-def test_same_orbit_matches_shift_scan():
-    m, n = 4, 6
-    L = math.lcm(m, n)
-    for u in range(m):
-        for v in range(n):
-            reachable = any(
-                (u + t) % m == 0 and (v + t) % n == 1 for t in range(L)
-            )
-            assert orbits.same_orbit(u, v, 0, 1, m, n) == reachable
-
-
 # -- coprime decomposition --------------------------------------------------------
 
 
