@@ -31,14 +31,15 @@ def main(argv=None):
         p.add_argument("--fields", nargs="+", default=["2", "3"])
         p.add_argument("--pairs", nargs="+", type=_pair, default=[(2, 3), (3, 2)])
         p.add_argument("--count", type=int, default=50)
-        p.add_argument("--tables", type=int, default=0)
         p.add_argument("--seed", type=int, default=cz.DEFAULT_SEED)
+        if name == "factors":  # tables have no phi, so only factors takes them
+            p.add_argument("--tables", type=int, default=0)
     args = parser.parse_args(argv)
     cfg = cz.SweepConfig(
         fields=tuple(args.fields),
         pairs=tuple(args.pairs),
         phi_count=args.count,
-        table_count=args.tables,
+        table_count=getattr(args, "tables", 0),
         seed=args.seed,
     )
     try:
@@ -48,7 +49,7 @@ def main(argv=None):
         else:
             report = cz.run_factor_structure_sweep(cfg)
             bad = report["total_violations"]
-    except ValueError as exc:  # a bad field spec, a non-coprime pair, the size cap
+    except ValueError as exc:  # a bad spec, pair or count, the size cap
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(report, sort_keys=True, indent=2))

@@ -11,9 +11,17 @@ callable on a BoundDiamond; run_routes(bd) runs every route that applies
 (a table spec has no phi, so only direct and oracle) and is the one place
 callers take route verdicts from.
 
-A failing verdict carries a literal witness: the smallest exponent k such
-that shifting one argument by the q^k-Frobenius leaves the diamond value
-fixed without fixing the argument.
+A failing verdict carries a witness (k, side, orbit), whose k each route
+reads off its own computation:
+
+  * direct: the smallest exponent k such that shifting the argument on
+    that side by the q^k-Frobenius leaves the value at (0, orbit) fixed
+    without fixing the argument, a literal shift;
+  * oracle: for the first orbit j whose value has degree r_j with
+    lcm(n, r_j) or lcm(m, r_j) short of lcm(m, n), that lcm, on side
+    alpha or beta respectively;
+  * coeffs and matrix: m/p on side alpha, or n/p on side beta, for the
+    smallest prime p whose subfield test fails, with orbit 0.
 """
 
 from __future__ import annotations
@@ -27,10 +35,9 @@ from . import linalg
 from .diamond import MONOMIAL, PhiPoly
 from .ff import (
     DEFAULT_SEED,
-    FieldContext,
+    _powers,
     degree_over_base,
     distinct_prime_factors,
-    is_irreducible,
 )
 
 ROUTE_DIRECT = "direct"
@@ -64,12 +71,7 @@ class CcVerdict(NamedTuple):
 @lru_cache(maxsize=256)
 def _power_basis_field(f):
     """GF(q)[X]/(f) for a monic irreducible f, which is validated once."""
-    m = f.degree
-    if m is None or m < 1 or not f.is_monic:
-        raise ValueError("expected a monic polynomial of degree >= 1")
-    if not is_irreducible(f):
-        raise ValueError("polynomial is reducible")
-    return FieldContext(f.ctx.p, lower=f.ctx, modulus=f.coeffs)
+    return f.ctx.extension(f)
 
 
 def petr_berlekamp_matrix(f):
@@ -80,10 +82,7 @@ def petr_berlekamp_matrix(f):
     every linalg function takes them.
     """
     ring = _power_basis_field(f)
-    xq = ring._frob(ring._gen_raw(), 1)
-    cols = [ring._one_raw]
-    for _ in range(1, ring.degree):
-        cols.append(ring._mul(cols[-1], xq))
+    cols = _powers(ring, ring._frob(ring._gen_raw(), 1), ring.degree)
     return tuple(zip(*(ring._unpack(c) for c in cols)))
 
 

@@ -353,8 +353,9 @@ def _build_parser():
 
     p = sub.add_parser("normal", help="test or sample normal elements")
     common(p, mod=True)
-    p.add_argument("--element", help="element coordinates, '/'-separated")
-    p.add_argument("--random", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--element", help="element coordinates, '/'-separated")
+    which.add_argument("--random", action="store_true")
     p.set_defaults(func=_cmd_normal)
 
     p = sub.add_parser("staircase", help="staircase normality of a bilinear phi")

@@ -503,11 +503,3 @@ def intermediate_factorization(f, g, spec, k, l, *, pair=None, seed=DEFAULT_SEED
 def _cached_embedding(small, big, seed):
     # contexts compare structurally, so rebuilt-but-identical towers hit
     return Embedding.find(small, big, seed=seed)
-
-
-def table_spec_from_phi(phi, pair):
-    """Rebuild a phi diamond as an explicit value table on representatives."""
-    bd = DiamondSpec.from_phi(phi).bind(pair)
-    return DiamondSpec.from_table(
-        pair.m, pair.n, [bd.value(0, j) for j in range(math.gcd(pair.m, pair.n))]
-    )

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import isqrt
 from operator import mul as _mul_op
 
 from .linalg import LinearSolver
@@ -76,9 +77,12 @@ class ContextMismatchError(ValueError):
 
 
 def _is_prime(n):
+    """Baillie-PSW: Miller-Rabin on the prime bases up to 41, which alone is
+    exact below psi_13 = 3317044064679887385961981 (Sorenson and Webster,
+    Math. Comp. 86, 2017), and from psi_13 on also a strong Lucas test."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for s in small:
         if n % s == 0:
             return n == s
@@ -96,7 +100,49 @@ def _is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < 3317044064679887385961981 or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a / n) for odd n > 0."""
+    a, t = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n):
+    """Strong Lucas probable-prime test of an n with no prime factor up to
+    41, as _is_prime passes it, with Selfridge's parameters P = 1,
+    Q = (1 - D) / 4, D the first of 5, -7, 9, -11, ... with (D / n) = -1:
+    n + 1 = d 2^s, d odd, and U_d = 0 or V_(d 2^r) = 0 for some r < s."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D has (D / n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = 2 - D if D < 0 else -D - 2
+    if j == 0:
+        return False
+    Q, half = (1 - D) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k and Q^k for k = 1, then k -> 2k (+ 1)
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 def _is_prime_power(n):
@@ -274,6 +320,19 @@ def _peval(K, f, x):
     for c in reversed(f):
         acc = add(mul(acc, x), c)
     return acc
+
+
+def _peval_base(K, f, x):
+    """f(x) for f with raw coefficients over K.lower and x a raw value of K."""
+    return _peval(K, [K._from_base_raw(c) for c in f], x)
+
+
+def _powers(K, a, count):
+    """[1, a, a^2, ..., a^(count-1)] for a raw value a of K."""
+    out = [K._one_raw]
+    for _ in range(1, count):
+        out.append(K._mul(out[-1], a))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +592,13 @@ class FieldContext:
             e = -e
         if self.lower is None:
             return pow(a, e, self.p)
-        result = self._one_raw
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul(result, base)
-            e >>= 1
-            if e:
-                base = self._mul(base, base)
+        if not e:
+            return self._one_raw
+        result = a  # square and multiply from the top bit down
+        for bit in bin(e)[3:]:
+            result = self._mul(result, result)
+            if bit == "1":
+                result = self._mul(result, a)
         return result
 
     def _frob(self, a, k=1):
@@ -556,10 +614,7 @@ class FieldContext:
         tbl = self._frob_tables.get(k)
         if tbl is None:
             xq = self._pow(self._gen_raw(), self.subfield_order**k)
-            tbl = [self._one_raw]
-            for _ in range(1, self.degree):
-                tbl.append(self._mul(tbl[-1], xq))
-            self._frob_tables[k] = tbl
+            tbl = self._frob_tables[k] = _powers(self, xq, self.degree)
         acc = self._zero_raw
         zl = self.lower._zero_raw
         for c, t in zip(a, tbl):
@@ -651,11 +706,12 @@ class FieldContext:
             raise ValueError("element does not lie in the base field")
         return FieldElement._wrap(self.lower, cs[0])
 
-    def extension(self, modulus, *, check=True):
+    def extension(self, modulus):
         """Extend by a monic irreducible modulus over this field.
 
         The result is FieldContext(p, lower=self, modulus) at any depth, so
         its lower context is this field and its Frobenius fixes this field.
+        A modulus already tested keeps its verdict, so checking it is free.
         """
         f = modulus if isinstance(modulus, Polynomial) else Polynomial(self, modulus)
         if f.ctx != self:
@@ -665,7 +721,7 @@ class FieldContext:
             raise ValueError("modulus must have degree >= 1")
         if not f.is_monic:
             raise ValueError("modulus must be monic")
-        if check and d > 1 and not is_irreducible(f):
+        if d > 1 and not is_irreducible(f):
             raise ValueError("modulus is reducible")
         return FieldContext(self.p, lower=self, modulus=f.coeffs)
 
@@ -686,67 +742,50 @@ class FieldElement:
         obj.raw = raw
         return obj
 
-    def _same(self, other):
-        if other.ctx is not self.ctx and other.ctx != self.ctx:
-            raise ContextMismatchError(
-                f"cannot combine {self.ctx.describe()} with {other.ctx.describe()}"
-            )
+    def _operand(self, other):
+        """The raw value of other in this context, or None if it is neither
+        an element nor an int."""
+        if isinstance(other, FieldElement):
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
+                raise ContextMismatchError(
+                    f"cannot combine {self.ctx.describe()} with {other.ctx.describe()}"
+                )
+            return other.raw
+        if isinstance(other, int):
+            return self.ctx._coerce(other)
+        return None
 
     def __add__(self, other):
-        ctx = self.ctx
-        if isinstance(other, FieldElement):
-            self._same(other)
-            return FieldElement._wrap(ctx, ctx._add(self.raw, other.raw))
-        if isinstance(other, int):
-            return FieldElement._wrap(ctx, ctx._add(self.raw, ctx._coerce(other)))
-        return NotImplemented
+        b = self._operand(other)
+        return NotImplemented if b is None else self._wrap(self.ctx, self.ctx._add(self.raw, b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        ctx = self.ctx
-        if isinstance(other, FieldElement):
-            self._same(other)
-            return FieldElement._wrap(ctx, ctx._sub(self.raw, other.raw))
-        if isinstance(other, int):
-            return FieldElement._wrap(ctx, ctx._sub(self.raw, ctx._coerce(other)))
-        return NotImplemented
+        b = self._operand(other)
+        return NotImplemented if b is None else self._wrap(self.ctx, self.ctx._sub(self.raw, b))
 
     def __rsub__(self, other):
-        ctx = self.ctx
-        if isinstance(other, int):
-            return FieldElement._wrap(ctx, ctx._sub(ctx._coerce(other), self.raw))
-        return NotImplemented
+        b = self._operand(other)
+        return NotImplemented if b is None else self._wrap(self.ctx, self.ctx._sub(b, self.raw))
 
     def __mul__(self, other):
-        ctx = self.ctx
-        if isinstance(other, FieldElement):
-            self._same(other)
-            return FieldElement._wrap(ctx, ctx._mul(self.raw, other.raw))
-        if isinstance(other, int):
-            return FieldElement._wrap(ctx, ctx._mul(self.raw, ctx._coerce(other)))
-        return NotImplemented
+        b = self._operand(other)
+        return NotImplemented if b is None else self._wrap(self.ctx, self.ctx._mul(self.raw, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        ctx = self.ctx
-        if isinstance(other, FieldElement):
-            self._same(other)
-            return FieldElement._wrap(ctx, ctx._mul(self.raw, ctx._inv(other.raw)))
-        if isinstance(other, int):
-            return FieldElement._wrap(
-                ctx, ctx._mul(self.raw, ctx._inv(ctx._coerce(other)))
-            )
-        return NotImplemented
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return FieldElement._wrap(self.ctx, self.ctx._mul(self.raw, self.ctx._inv(b)))
 
     def __rtruediv__(self, other):
-        ctx = self.ctx
-        if isinstance(other, int):
-            return FieldElement._wrap(
-                ctx, ctx._mul(ctx._coerce(other), ctx._inv(self.raw))
-            )
-        return NotImplemented
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return FieldElement._wrap(self.ctx, self.ctx._mul(b, self.ctx._inv(self.raw)))
 
     def __neg__(self):
         return FieldElement._wrap(self.ctx, self.ctx._neg(self.raw))
@@ -988,7 +1027,7 @@ def prime_field(p):
 
 def extension_field(base, degree, *, rng=None, seed=DEFAULT_SEED):
     """Extension of the given degree with a seeded random irreducible modulus."""
-    return base.extension(random_irreducible(base, degree, rng=rng, seed=seed), check=False)
+    return base.extension(random_irreducible(base, degree, rng=rng, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -1091,7 +1130,7 @@ def _check_minpoly(K, a, h):
     h of degree |orbit(a)| (by Frobenius) with h(a) = 0 (by Horner) is; no
     part of the check shares code with _pminpoly."""
     if (h[-1] != K.lower._one_raw or len(h) - 1 != len(_orbit(K, a))
-            or _peval(K, [K._from_base_raw(c) for c in h], a) != K._zero_raw):
+            or _peval_base(K, h, a) != K._zero_raw):
         raise RuntimeError("minimal polynomial fails its certificate")
 
 
@@ -1117,8 +1156,12 @@ def is_irreducible(f):
     return verdict
 
 
-def _rabin(f):
-    """is_irreducible for a monic f of degree >= 2, without the memo."""
+def _rabin(f, sieve=0):
+    """is_irreducible for a monic f of degree n >= 2, without the memo.
+
+    The gcd test also runs at every j <= sieve, which rejects an f with a
+    factor of degree <= sieve early (Ben-Or) and changes no verdict.
+    """
     n = f.degree
     K = f.ctx
     Q = K.order
@@ -1127,7 +1170,7 @@ def _rabin(f):
     gcd_steps = {n // t for t in distinct_prime_factors(n)}
     for j in range(1, n + 1):
         w = ring._pow(w, Q)
-        if j in gcd_steps:
+        if j <= sieve or j in gcd_steps:
             try:  # gcd(w - X, f) = 1 iff w - X is a unit of K[X]/(f)
                 ring._inv(ring._sub(w, x))
             except ZeroDivisionError:
@@ -1135,38 +1178,25 @@ def _rabin(f):
     return w == x
 
 
-def _has_small_factor(f, steps):
-    """Whether gcd(X^(Q^j) - X, f) != 1 for some j <= steps (Ben-Or), in
-    the same quotient ring K[X]/(f) as is_irreducible."""
-    K = f.ctx
-    ring = FieldContext(K.p, lower=K, modulus=f.coeffs)
-    x = w = ring._gen_raw()
-    for _ in range(steps):
-        w = ring._pow(w, K.order)
-        try:
-            ring._inv(ring._sub(w, x))
-        except ZeroDivisionError:
-            return True
-    return False
-
-
 def random_irreducible(ctx, degree, *, rng=None, seed=DEFAULT_SEED):
     """Seeded rejection sampling of a monic irreducible of the given degree.
 
-    A candidate with a factor of degree <= min(6, degree / 2) is rejected
-    by a short sieve before the full test; the sieve draws nothing and
-    changes no verdict, so the result is the same as without it.
+    Each candidate runs _rabin with a sieve of min(6, degree / 2) steps,
+    which rejects most reducible ones early; the verdict is kept on f.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if rng is None:
         rng = random.Random(seed)
     one = ctx._one_raw
-    steps = min(6, degree // 2)
+    sieve = min(6, degree // 2)
     while True:
         coeffs = [ctx._random_raw(rng) for _ in range(degree)] + [one]
         f = Polynomial._wrap(ctx, tuple(coeffs))
-        if degree == 1 or (not _has_small_factor(f, steps) and is_irreducible(f)):
+        if degree == 1:
+            return f
+        f._irreducible = _rabin(f, sieve)
+        if f._irreducible:
             return f
 
 
@@ -1175,8 +1205,7 @@ def evaluate_in_extension(f, x):
     ext = x.ctx
     if ext.lower is None or ext.lower != f.ctx:
         raise ContextMismatchError("point must lie in an extension of the coefficient field")
-    cs = [ext._from_base_raw(c) for c in f.coeffs]
-    return FieldElement._wrap(ext, _peval(ext, cs, x.raw))
+    return FieldElement._wrap(ext, _peval_base(ext, f.coeffs, x.raw))
 
 
 def _split_root(K, f, rng):
@@ -1205,12 +1234,12 @@ def find_root(f, ext, *, seed=DEFAULT_SEED):
     """The root of f in the extension field ext with the smallest to_int index.
 
     f must be monic irreducible over ext's base field GF(q), of a degree m
-    dividing ext's degree L.  Its roots lie in GF(q^m), so for 1 < m < L
-    one is isolated there (Lenstra, Math. Comp. 56, 1991): gamma, the trace
-    to GF(q^m) of a random z redrawn until minpoly(gamma) = h (Berlekamp-
-    Massey plus its certificate) has degree m, gives GF(q)[Y]/(h), where f
-    is split and the root mapped to ext by Y -> gamma.  For m = 1 or m = L,
-    f is split in ext.  The smallest-index conjugate is returned, so the
+    dividing ext's degree L.  Its roots lie in GF(q^m), so one is isolated
+    there (Lenstra, Math. Comp. 56, 1991): gamma, the trace to GF(q^m) of a
+    random z redrawn until minpoly(gamma) = h (Berlekamp-Massey plus its
+    certificate) has degree m, gives GF(q)[Y]/(h), where f is split and the
+    root mapped to ext by Y -> gamma.  For m = L, gamma is z itself; for
+    m = 1, h is linear.  The smallest-index conjugate is returned, so the
     result depends neither on the field that isolated the root nor on seed,
     which steers the draws.
     """
@@ -1226,24 +1255,20 @@ def find_root(f, ext, *, seed=DEFAULT_SEED):
     if not is_irreducible(f):
         raise ValueError("polynomial is reducible")
     rng = random.Random(seed)
-    f_ext = [ext._from_base_raw(c) for c in f.coeffs]
-    if m == 1 or m == L:
-        root = _split_root(ext, f_ext, rng)
-    else:
-        while True:
-            z = gamma = ext._random_raw(rng)
-            for _ in range(L // m - 1):
-                z = ext._frob(z, m)
-                gamma = ext._add(gamma, z)
-            h = _pminpoly(ext, gamma, m)
-            if len(h) - 1 == m:
-                break
-        _check_minpoly(ext, gamma, h)
-        small = FieldContext(ext.p, lower=base, modulus=h)
-        r = _split_root(small, [small._from_base_raw(c) for c in f.coeffs], rng)
-        root = _peval(ext, [ext._from_base_raw(c) for c in small._unpack(r)], gamma)
-        if _peval(ext, f_ext, root) != ext._zero_raw:
-            raise RuntimeError("the root found in the subfield is not a root of f")
+    while True:
+        z = gamma = ext._random_raw(rng)
+        for _ in range(L // m - 1):
+            z = ext._frob(z, m)
+            gamma = ext._add(gamma, z)
+        h = _pminpoly(ext, gamma, m)
+        if len(h) - 1 == m:
+            break
+    _check_minpoly(ext, gamma, h)
+    small = FieldContext(ext.p, lower=base, modulus=h)
+    r = _split_root(small, [small._from_base_raw(c) for c in f.coeffs], rng)
+    root = _peval_base(ext, small._unpack(r), gamma)
+    if _peval_base(ext, f.coeffs, root) != ext._zero_raw:
+        raise RuntimeError("the root found in the subfield is not a root of f")
     return FieldElement._wrap(ext, min(_orbit(ext, root), key=ext._to_int))
 
 
@@ -1269,10 +1294,7 @@ class Embedding:
         self.small = small
         self.big = big
         self.root = root
-        pows = [big._one_raw]
-        for _ in range(1, small.degree):
-            pows.append(big._mul(pows[-1], root.raw))
-        self._pows = tuple(pows)
+        self._pows = tuple(_powers(big, root.raw, small.degree))
         self._solver = None  # built by the first project(); many callers only embed
 
     @classmethod
@@ -1327,28 +1349,6 @@ def _orbit_factors(emb, a, count):
         roots.append(big._frob(roots[-1], d))
     h0 = emb.project_poly(Polynomial._wrap(big, _pfromroots(big, roots))).coeffs
     return [Polynomial._wrap(small, tuple(small._frob(c, t) for c in h0)) for t in range(d)]
-
-
-def conjugate_factor_over_subfield(f, k, *, seed=DEFAULT_SEED):
-    """Factor a monic irreducible f of degree m over the subfield of degree k | m.
-
-    Returns [h, h^(sigma), ..., h^(sigma^(k-1))] over GF(q^k), where sigma
-    raises coefficients to the q-th power.  The product of the factors is f
-    with coefficients embedded into GF(q^k).
-    """
-    base = f.ctx
-    m = f.degree
-    if m is None or m < 1 or not f.is_monic:
-        raise ValueError("expected a monic polynomial of degree >= 1")
-    if k < 1 or m % k != 0:
-        raise ValueError(f"{k} does not divide the degree {m}")
-    if not is_irreducible(f):
-        raise ValueError("polynomial is reducible")
-    if k == 1:
-        return [f]
-    ctx_m = base.extension(f, check=False)
-    emb = Embedding.find(extension_field(base, k, seed=seed), ctx_m, seed=seed)
-    return _orbit_factors(emb, ctx_m._gen_raw(), m // k)
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,11 @@ def run_route_agreement_sweep(config):
     For each instance one seeded (f, g) pair is fixed and phi_count random
     coefficient matrices are pushed through every cancellation route
     (run_routes), the exhaustive oracle, and the irreducibility
-    equivalence.  Returns a JSON-ready report.
+    equivalence.  Returns a JSON-ready report.  Tables have no phi for the
+    coeffs and matrix routes, so table_count must be 0.
     """
+    if config.phi_count < 1 or config.table_count:
+        raise ValueError("route agreement sweep needs phi_count >= 1 and table_count = 0")
     instances = []
     total = disagreements = holds_total = 0
     for base, m, n in config.instances():
@@ -277,6 +280,8 @@ def run_factor_structure_sweep(config):
     all valuations distinct the cancellation flag must coincide with
     maximality of every factor degree and with the exhaustive verdict.
     """
+    if min(config.phi_count, config.table_count) < 0 or not config.phi_count + config.table_count:
+        raise ValueError("factor structure sweep needs counts >= 0 and at least one diamond")
     instances = []
     violations_total = 0
     for base, m, n in config.instances():

@@ -82,7 +82,8 @@ def test_run_routes_all_set(worked, F3):
         ]
     linearized = cz.PhiPoly.build(F3, PHI_CC_ROWS, basis=cz.LINEARIZED)
     assert names(cz.DiamondSpec.from_phi(linearized)) == two
-    assert names(cz.table_spec_from_phi(worked.phi_cc, pair)) == two
+    bd_cc = cz.DiamondSpec.from_phi(worked.phi_cc).bind(pair)  # gcd(m, n) = 1
+    assert names(cz.DiamondSpec.from_table(pair.m, pair.n, [bd_cc.value(0, 0)])) == two
     mismatched = cz.PhiPoly.build(F3, ((0, 2), (1, 0)))
     assert names(cz.DiamondSpec.from_phi(mismatched)) == two
     f2 = cz.random_irreducible(F3, 2, seed=0)

@@ -222,11 +222,23 @@ def test_usage_errors(capsys):
         capsys, "compose", *WORKED, "--phi", "2 4 3 monomial;0;0;0;0"
     )
     assert code == 2
-    for q in ("6", "1", "-3"):
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
+    psi12 = "318665857834031151167461"
+    code, out, err = run(
+        capsys, "compose", "--q", psi12, "--f", "1,1", "--g", "2,1",
+        "--phi", f"{psi12} 1 1 monomial;1",
+    )
+    assert code == 2 and out == "" and "not prime" in err
+    for q in ("6", "1", "-3", psi12):
         code, out, err = run(
             capsys, "twisted", "--q", q, "--m", "3", "--n", "5", "--k", "1", "--l", "2"
         )
         assert code == 2 and out == "" and "not a prime power" in err
+    # normal takes either --element or --random
+    code, out, _ = run(
+        capsys, "normal", "--q", "2", "--mod", "1,1,1", "--element", "0/1", "--random"
+    )
+    assert code == 2 and out == ""
     # q^lcm(m, n) past the cap: 3^202 > 2^256, refused before any field is built
     big_f = ",".join(["1"] * 101 + ["1"])
     for command in ("compose", "check-cc", "factor"):

@@ -87,7 +87,8 @@ def test_table_reproduces_phi_values(F2):
         g = cz.random_irreducible(F2, n, rng=rng)
         pair = cz.RootPair.build(f, g, seed=1)
         phi = cz.PhiPoly.random(F2, m, n, rng)
-        table = cz.table_spec_from_phi(phi, pair)
+        bd = cz.DiamondSpec.from_phi(phi).bind(pair)
+        table = cz.DiamondSpec.from_table(m, n, [bd.value(0, j) for j in range(math.gcd(m, n))])
         assert table.bind(pair).vals == cz.DiamondSpec.from_phi(phi).bind(pair).vals
 
 

@@ -151,6 +151,105 @@ def test_random_irreducible_contract(F2):
     assert g.degree == 1
 
 
+@pytest.mark.parametrize(
+    "base_spec, degree, seed",
+    [("2", 12, 0), ("2", 16, 0), ("3", 14, 2), ("5", 2, 3), ("2^2:1,1,1", 5, 2)],
+)
+def test_random_irreducible_builds_one_ring_per_candidate(base_spec, degree, seed, monkeypatch):
+    # the sieve and the Rabin test share one quotient ring per candidate, and
+    # extension_field validates its modulus without building another
+    base = cz.parse_field_spec(base_spec)
+    draws, rings = [], []
+    random_raw, init = ff.FieldContext._random_raw, ff.FieldContext.__init__
+
+    def counting_random_raw(self, rng):
+        draws.append(self)
+        return random_raw(self, rng)
+
+    def counting_init(self, p, lower=None, modulus=None):
+        init(self, p, lower, modulus)
+        rings.append(self)
+
+    monkeypatch.setattr(ff.FieldContext, "_random_raw", counting_random_raw)
+    monkeypatch.setattr(ff.FieldContext, "__init__", counting_init)
+    f = cz.random_irreducible(base, degree, seed=seed)
+    candidates, rest = divmod(len(draws), degree)
+    assert rest == 0 and len(rings) == candidates
+    assert all(r.lower == base and r.degree == degree for r in rings)
+    assert rings[-1].modulus == f.coeffs
+    draws.clear()
+    rings.clear()
+    ext = cz.extension_field(base, degree, seed=seed)
+    assert ext.modulus == f.coeffs
+    assert len(draws) == candidates * degree and len(rings) == candidates + 1
+    assert rings[-1] is ext
+
+
+@pytest.mark.parametrize("spec, degree, muls", [("2", 12, 1), ("3", 10, 2)])
+def test_frobenius_step_squares_from_the_top_bit(spec, degree, muls, monkeypatch):
+    # a^q from the top bit of q: one squaring for q = 2, a square and a
+    # multiply for q = 3
+    K = cz.extension_field(cz.parse_field_spec(spec), degree, seed=0)
+    a = K._random_raw(random.Random(1))
+    calls = []
+    mul = ff.FieldContext._mul
+
+    def counting_mul(self, x, y):
+        calls.append(self)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(ff.FieldContext, "_mul", counting_mul)
+    b = K._frob(a, 1)
+    assert len(calls) == muls
+    monkeypatch.undo()
+    expected = K._one_raw
+    for _ in range(K.p):
+        expected = K._mul(expected, a)
+    assert b == expected
+
+
+@pytest.mark.parametrize("spec, degree", [("2", 12), ("3", 10), ("2^2:1,1,1", 3)])
+def test_pow_matches_repeated_multiplication(spec, degree):
+    K = cz.extension_field(cz.parse_field_spec(spec), degree, seed=0)
+    rng = random.Random(2)
+    for a in (K._zero_raw, K._one_raw, K._gen_raw(), K._random_raw(rng), K._random_raw(rng)):
+        acc = K._one_raw
+        for e in range(41):
+            assert K._pow(a, e) == acc
+            if a != K._zero_raw and e:
+                assert K._mul(K._pow(a, -e), acc) == K._one_raw
+            acc = K._mul(acc, a)
+
+
+# -- primality -----------------------------------------------------------------
+
+PSI12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # psi_12 passes Miller-Rabin on the prime bases 2..37, psi_13 on 2..41
+    for n in (PSI12, PSI13, (2**61 - 1) * (2**89 - 1)):
+        assert not ff._is_prime(n)
+        assert not ff._is_prime_power(n)
+    for n in (2**61 - 1, 2**89 - 1, 2**127 - 1):
+        assert ff._is_prime(n) and ff._is_prime_power(n)
+        assert ff._is_prime_power(n**3)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(3000):
+        assert ff._is_prime(n) == sympy.isprime(n), n
+    rng = random.Random("primes")
+    for _ in range(400):
+        n = rng.getrandbits(rng.randrange(12, 140)) | 1
+        assert ff._is_prime(n) == sympy.isprime(n), n
+        p = sympy.nextprime(n)
+        assert ff._is_prime(p), p
+        assert not ff._is_prime(p * sympy.nextprime(p)), p
+
+
 # -- roots, minimal polynomials, degrees ----------------------------------------
 
 
@@ -415,49 +514,24 @@ def test_degree_of_cubic_generator(F2):
 # -- subfield conjugate factorization --------------------------------------------
 
 
-def test_conjugate_factor_trivial(F3, worked):
-    assert cz.conjugate_factor_over_subfield(worked.f, 1) == [worked.f]
-
-
-def test_conjugate_factor_full_split(F2):
-    f = cz.poly_from_text(F2, "1,1,0,1")
-    parts = cz.conjugate_factor_over_subfield(f, 3)
-    assert len(parts) == 3 and all(h.degree == 1 for h in parts)
-
-
-def test_conjugate_factor_quadratic_split(worked):
-    parts = cz.conjugate_factor_over_subfield(worked.f, 2)
-    assert len(parts) == 2
-    sub = parts[0].ctx
-    assert sub.degree == 2
-    assert all(h.degree == 2 and cz.is_irreducible(h) for h in parts)
-    product = parts[0] * parts[1]
-    embedded = cz.Polynomial(sub, [c.to_int() for c in worked.f.coefficients()])
-    assert product == embedded
-    # the two factors are coefficient-wise Frobenius images of each other
-    twisted = parts[0].map_coefficients(lambda c: c.frobenius(1))
-    assert twisted == parts[1]
-
-
 @pytest.mark.parametrize("field, m", [("2", 6), ("3", 4), ("2", 8), ("2^2:1,1,1", 4)])
 def test_conjugate_factor_matches_root_expansion(field, m):
+    # the orbit product of a root of f splits f over every subfield GF(q^k),
+    # k | m, into k conjugate factors
     base = cz.parse_field_spec(field)
     f = cz.random_irreducible(base, m, seed=m)
-    assert cz.conjugate_factor_over_subfield(f, 1) == [f]
+    ctx = base.extension(f)
     for k in divisors(m)[1:]:
-        parts = cz.conjugate_factor_over_subfield(f, k)
-        sub = parts[0].ctx
-        assert sub.degree == k
+        sub = cz.extension_field(base, k)
+        parts = ff._orbit_factors(cz.Embedding.find(sub, ctx), ctx._gen_raw(), m // k)
         assert parts == conjugate_factors_by_roots(f, k, sub)
+        assert all(h.degree == m // k and cz.is_irreducible(h) for h in parts)
+        # factor t + 1 is factor t with its coefficients raised to the q-th power
+        assert parts[1:] == [h.map_coefficients(lambda c: c.frobenius(1)) for h in parts[:-1]]
         product = cz.Polynomial.one(sub)
         for h in parts:
             product = product * h
         assert product == cz.Polynomial(sub, [sub.from_base(c) for c in f.coefficients()])
-
-
-def test_conjugate_factor_rejects_bad_k(worked):
-    with pytest.raises(ValueError):
-        cz.conjugate_factor_over_subfield(worked.f, 3)
 
 
 # -- embeddings and towers --------------------------------------------------------

@@ -137,6 +137,19 @@ def test_factor_structure_smoke():
     assert report["instances"][0]["diamonds"] == 6
 
 
+def test_sweeps_refuse_meaningless_counts():
+    for phi_count, table_count in ((0, 0), (-3, 0), (5, 7)):
+        cfg = cz.SweepConfig(fields=(2,), pairs=((2, 3),), phi_count=phi_count,
+                             table_count=table_count)
+        with pytest.raises(ValueError, match="route agreement sweep"):
+            cz.run_route_agreement_sweep(cfg)
+    for phi_count, table_count in ((0, 0), (-1, 3), (3, -1)):
+        cfg = cz.SweepConfig(fields=(2,), pairs=((2, 4),), phi_count=phi_count,
+                             table_count=table_count)
+        with pytest.raises(ValueError, match="factor structure sweep"):
+            cz.run_factor_structure_sweep(cfg)
+
+
 def test_sweep_size_cap():
     cfg = cz.SweepConfig(fields=(3,), pairs=((4, 5),), size_cap=1 << 10)
     with pytest.raises(ValueError):
