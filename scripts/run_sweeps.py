@@ -6,7 +6,8 @@ Examples:
     python3 scripts/run_sweeps.py factors --fields 2 --pairs 4,6 --count 8 --tables 8
 
 Exit codes: 0 when every instance agrees, 1 on any disagreement or
-violation, 2 on malformed input.
+violation, 2 on malformed input, 3 when an internal invariant breaks
+(a RuntimeError: a failed certificate or reconstruction).
 """
 
 import argparse
@@ -52,6 +53,9 @@ def main(argv=None):
     except ValueError as exc:  # a bad spec, pair or count, the size cap
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a broken invariant, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0 if bad == 0 else 1
 

@@ -49,7 +49,6 @@ from .cancellation import (
     cc_oracle,
     degree_criterion,
     matrix_cc_test,
-    normal_basis_shift_matrix,
     petr_berlekamp_matrix,
     rank_criterion,
     sample_cc_phi_matrices,

@@ -86,14 +86,6 @@ def petr_berlekamp_matrix(f):
     return tuple(zip(*(ring._unpack(c) for c in cols)))
 
 
-def normal_basis_shift_matrix(ctx, m):
-    """The q-power map in a normal basis: the cyclic shift permutation."""
-    z, o = ctx._zero_raw, ctx._one_raw
-    return tuple(
-        tuple(o if i == (j + 1) % m else z for j in range(m)) for i in range(m)
-    )
-
-
 # -- direct and degree-based routes -----------------------------------------
 
 

@@ -3,8 +3,10 @@
 Every run is deterministic given its flags; seeds default to a fixed
 constant rather than entropy.  Exit codes: 0 when the computation succeeds
 and the checked property holds, 1 when the property fails, 2 on malformed
-input.  Structured output is single-line JSON with sorted keys so reports
-can be diffed byte for byte.
+input, 3 when an internal invariant breaks (routes that disagree, a failed
+minimal-polynomial certificate, a reconstruction mismatch).  Structured
+output is single-line JSON with sorted keys so reports can be diffed byte
+for byte.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from .linearized import (
 
 # Largest field order that compose, check-cc, factor and sample-phi
 # (q^lcm(m, n)), staircase (q^(m n)) and normal (q^deg(mod)) accept.
-# lcm(m, n) = 100 over GF(3) (about 2^159) stays well inside; larger inputs
-# would build fields whose root finding or rank computations run without
-# practical bound.
+# lcm(m, n) = 100 over GF(3) (about 2^159) stays well inside.  The cap
+# bounds the field size, not the running time: inputs under it can still
+# take minutes, over a non-prime base such as GF(4) above all.
 MAX_FIELD_ORDER = 2**256
 
 # Largest --count that sample-phi accepts.  Each sample is a rejection loop
@@ -384,7 +386,10 @@ def main(argv=None):
         return 0 if code in (0, None) else 2
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError, KeyError, RuntimeError) as exc:
+    except RuntimeError as exc:  # a broken invariant, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -114,25 +114,24 @@ class PhiPoly(NamedTuple):
             raise ContextMismatchError("arguments must lie in an extension of the base")
         # sum_i x_i (sum_j c_ij y_j), with x_i = x^i, y_j = y^j (monomial)
         # or x_i = x^(q^i), y_j = y^(q^j) (linearized)
-        mul, add, smul, one = ext._mul, ext._add, ext._scalar_mul, ext._one_raw
+        mul, add, smul = ext._mul, ext._add, ext._scalar_mul
         mono = self.basis == MONOMIAL
 
         def terms(a, count):
-            out = [one if mono else a]
+            out = [1 if mono else a]
             for _ in range(1, count):
                 out.append(mul(out[-1], a) if mono else ext._frob(out[-1], 1))
             return out
 
         ys = terms(y.raw, self.n)
-        zl, zero = self.ctx._zero_raw, ext._zero_raw
-        acc = zero
+        acc = 0
         for xi, row in zip(terms(x.raw, self.m), self.rows):
-            inner = zero
+            inner = 0
             for c, yj in zip(row, ys):
-                if c != zl:
+                if c:
                     inner = add(inner, smul(c, yj))
-            if inner != zero:
-                acc = add(acc, inner if xi == one else mul(xi, inner))
+            if inner:
+                acc = add(acc, inner if xi == 1 else mul(xi, inner))
         return FieldElement._wrap(ext, acc)
 
     def to_text(self):
@@ -187,17 +186,15 @@ def rank_decomposition(phi):
     r, left, right = linalg.rank_factorization(ctx, phi.rows)
     us = tuple(Polynomial._from_raw(ctx, tuple(row[s] for row in left)) for s in range(r))
     vs = tuple(Polynomial._from_raw(ctx, right[s]) for s in range(r))
-    rebuilt = [
-        [ctx._zero_raw for _ in range(phi.n)] for _ in range(phi.m)
-    ]
+    rebuilt = [[0] * phi.n for _ in range(phi.m)]
     for u, v in zip(us, vs):
         for i in range(phi.m):
             ui = u.coefficient(i).raw
-            if ui == ctx._zero_raw:
+            if not ui:
                 continue
             for j in range(phi.n):
                 vj = v.coefficient(j).raw
-                if vj != ctx._zero_raw:
+                if vj:
                     rebuilt[i][j] = ctx._add(rebuilt[i][j], ctx._mul(ui, vj))
     if tuple(tuple(row) for row in rebuilt) != phi.rows:
         raise RuntimeError("rank factorization failed to reconstruct the matrix")

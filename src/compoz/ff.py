@@ -9,27 +9,34 @@ result's lower context is always the field that was extended.
 Raw value representation (internal):
 
   * prime level: int in [0, p)
-  * depth 1, GF(p^k) = GF(p)[X]/(f): one non-negative int.  Coordinate i
-    (the coefficient of X^i, in [0, p)) sits in bits [w*i, w*(i+1)), with
-    the slot width w fixed per context so that no value formed before a
-    reduction, at most a product column k(p-1)^2 plus a small term, carries
-    into the next slot.  Addition is one integer add, multiplication one
-    big-int product (Kronecker substitution; Harvey, J. Symb. Comput. 44,
-    2009); each is followed by a slot-wise reduction mod p in a constant
-    number of big-int operations, and a product also by a Barrett
-    reduction mod f.  Inversion is extended Euclid on packed polynomials.
-    Every p runs the same code; p only changes the constants.
-  * depth >= 2: tuple of lower raws, fixed length = degree; products and
-    inverses run on the raw polynomial helpers over the lower context
-    (_pmul, _pmod, _pinvmod)
+  * every extension, at any depth: one non-negative int of w-bit slots,
+    each holding a GF(p) value.  At depth 1, GF(p^k) = GF(p)[X]/(f),
+    slot i is the coefficient of X^i; above, coordinate i is the lower raw
+    at bits [S*i, S*(i+1)), S = _stride the width of a lower raw.  Read in
+    slot order, the slots are the base-p digits of the canonical index
+    (_to_int), and zero and one are the ints 0 and 1 in every context.  The
+    depth-1 level fixes w for its whole tower so that no value formed
+    before a reduction, at most a product column k(p-1)^2 plus a small
+    term, carries into the next slot.  Addition, subtraction and negation
+    are one integer operation and a slot-wise reduction mod p in a constant
+    number of big-int operations, at every depth.
+  * depth 1 multiplies by one big-int product (Kronecker substitution;
+    Harvey, J. Symb. Comput. 44, 2009), reduced slot-wise and then mod f by
+    Barrett, and inverts by extended Euclid on packed polynomials; every p
+    runs the same code, p only changes the constants.  Above depth 1,
+    products, inverses and Frobenius unpack their operands into lower raws
+    and run the raw polynomial helpers over the lower context (_pmul,
+    _pmod, _pinvmod).
 
 FieldContext._pack and _unpack are the only code that converts between a
 raw value and its coordinates (text formats, coords(), the canonical index
 of _nth / _to_int, embeddings and linear algebra over the coordinates all
-go through them).  Since a raw int of a depth-1 context is not the integer
-it looks like, internal code builds elements and polynomials from raw
-values with FieldElement._wrap / Polynomial._from_raw, never through the
-coercing constructors.
+go through them).  Coordinate 0 is the low bits, so the raw of a lower
+level is also the raw of the same element in every extension above it,
+and embedding a base value, or an int, changes nothing.  Since a raw int
+of an extension is not the integer it looks like, internal code builds
+elements and polynomials from raw values with FieldElement._wrap /
+Polynomial._from_raw, never through the coercing constructors.
 
 Arithmetic in a quotient ring K[X]/(h) is always done in the context
 FieldContext(p, lower=K, modulus=h) on raw values as above, whether h is
@@ -183,9 +190,8 @@ def distinct_prime_factors(n):
 
 
 def _pstrip(K, cs):
-    z = K._zero_raw
     n = len(cs)
-    while n and cs[n - 1] == z:
+    while n and not cs[n - 1]:
         n -= 1
     return tuple(cs[:n])
 
@@ -202,9 +208,7 @@ def _padd(K, a, b):
 
 def _psub(K, a, b):
     out = list(a)
-    z = K._zero_raw
-    while len(out) < len(b):
-        out.append(z)
+    out.extend([0] * (len(b) - len(out)))
     sub = K._sub
     for i, c in enumerate(b):
         out[i] = sub(out[i], c)
@@ -212,7 +216,7 @@ def _psub(K, a, b):
 
 
 def _pscale(K, c, a):
-    if c == K._zero_raw:
+    if not c:
         return ()
     mul = K._mul
     return tuple(mul(c, x) for x in a)
@@ -230,22 +234,21 @@ def _pmul(K, a, b):
                     if bj:
                         out[i + j] += ai * bj
         return tuple(v % p for v in out)
-    z = K._zero_raw
-    out = [z] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     add, mul = K._add, K._mul
     for i, ai in enumerate(a):
-        if ai != z:
+        if ai:
             for j, bj in enumerate(b):
-                if bj != z:
+                if bj:
                     out[i + j] = add(out[i + j], mul(ai, bj))
     return tuple(out)
 
 
 def _pfromroots(K, raws):
     """prod (X - r) over the raw values r, in order."""
-    out = (K._one_raw,)
+    out = (1,)
     for r in raws:
-        out = _pmul(K, out, (K._neg(r), K._one_raw))
+        out = _pmul(K, out, (K._neg(r), 1))
     return out
 
 
@@ -271,20 +274,19 @@ def _pdivmod(K, a, b):
                         r[k + i] = (r[k + i] - c * bi) % p
             r[k + db] = 0
         return _pstrip(K, q), _pstrip(K, r[:db])
-    z = K._zero_raw
     lead = b[-1]
-    inv = None if lead == K._one_raw else K._inv(lead)  # None: b is monic
+    inv = None if lead == 1 else K._inv(lead)  # None: b is monic
     r = list(a)
-    q = [z] * (da - db + 1)
+    q = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
         c = r[k + db] if inv is None else K._mul(r[k + db], inv)
-        if c != z:
+        if c:
             q[k] = c
             for i in range(db):
                 bi = b[i]
-                if bi != z:
+                if bi:
                     r[k + i] = K._sub(r[k + i], K._mul(c, bi))
-        r[k + db] = z
+        r[k + db] = 0
     return _pstrip(K, q), _pstrip(K, r[:db])
 
 
@@ -296,7 +298,7 @@ def _pgcd(K, a, b):
     a, b = tuple(a), tuple(b)
     while b:
         a, b = b, _pmod(K, a, b)
-    if a and a[-1] != K._one_raw:
+    if a and a[-1] != 1:
         a = _pscale(K, K._inv(a[-1]), a)
     return a
 
@@ -304,7 +306,7 @@ def _pgcd(K, a, b):
 def _pinvmod(K, a, mod):
     """Inverse of a modulo mod (mod monic), via extended Euclid."""
     r0, r1 = tuple(mod), _pstrip(K, a)
-    s0, s1 = (), (K._one_raw,)
+    s0, s1 = (), (1,)
     while r1:
         q, r = _pdivmod(K, r0, r1)
         r0, r1 = r1, r
@@ -315,21 +317,16 @@ def _pinvmod(K, a, mod):
 
 
 def _peval(K, f, x):
-    acc = K._zero_raw
+    acc = 0
     add, mul = K._add, K._mul
     for c in reversed(f):
         acc = add(mul(acc, x), c)
     return acc
 
 
-def _peval_base(K, f, x):
-    """f(x) for f with raw coefficients over K.lower and x a raw value of K."""
-    return _peval(K, [K._from_base_raw(c) for c in f], x)
-
-
 def _powers(K, a, count):
     """[1, a, a^2, ..., a^(count-1)] for a raw value a of K."""
-    out = [K._one_raw]
+    out = [1]
     for _ in range(1, count):
         out.append(K._mul(out[-1], a))
     return out
@@ -356,11 +353,11 @@ class FieldContext:
         "order",
         "subfield_order",
         "depth",
-        "_zero_raw",
-        "_one_raw",
         "_hash",
         "_frob_tables",
-        # packed kernel of a depth-1 context (see the module docstring)
+        # packed layout of an extension (see the module docstring); the
+        # constants from _low on are the depth-1 product kernel's
+        "_stride",
         "_w",
         "_red_mul",
         "_red_shift",
@@ -380,8 +377,6 @@ class FieldContext:
         self.modulus = modulus
         self._hash = hash((p, modulus, lower))
         self._frob_tables = {}
-        self._zero_raw = 0
-        self._one_raw = 1 % p
         if lower is None:
             self.degree = 1
             self.order = p
@@ -394,10 +389,16 @@ class FieldContext:
         self.subfield_order = lower.order
         self.depth = lower.depth + 1
         if self.depth == 1:
-            self._init_kernel()  # packed zero and one are the ints 0 and 1
-        else:
-            self._zero_raw = self._pack(())
-            self._one_raw = self._pack((lower._one_raw,))
+            self._init_kernel()
+            return
+        # the slots of the level below, laid end to end, with its slot width
+        # and reduction constants (a sum or difference stays below 2p)
+        w = self._w = lower._w
+        self._red_mul, self._red_shift = lower._red_mul, lower._red_shift
+        self._stride = lower._stride * lower.degree
+        ones = ((1 << (d * self._stride)) - 1) // ((1 << w) - 1)  # 1 per slot
+        self._red_mask = ones * ((1 << (w - self._red_shift)) - 1)
+        self._p_slots = p * ones
 
     def _init_kernel(self):
         p, k = self.p, self.degree
@@ -414,8 +415,8 @@ class FieldContext:
             s += 1
         m = -(-(1 << s) // p)
         w = (vmax * m).bit_length()
-        ones = sum(1 << (w * i) for i in range(2 * k))
-        self._w = w
+        ones = ((1 << (2 * k * w)) - 1) // ((1 << w) - 1)  # 1 per slot, 2k slots
+        self._w = self._stride = w
         self._red_mul = m
         self._red_shift = s
         self._red_mask = ones * ((1 << (w - s)) - 1)
@@ -458,36 +459,24 @@ class FieldContext:
     def __repr__(self):
         return f"<FieldContext {self.describe()}>"
 
-    def spec_string(self):
-        """Field spec for this context ("p" or "p^e:modulus"); depth <= 1."""
-        if self.lower is None:
-            return str(self.p)
-        if self.depth == 1:
-            return f"{self.p}^{self.degree}:{self.modulus_poly()}"
-        raise ValueError("no spec string for a tower above depth 1")
-
     # -- coordinates ---------------------------------------------------------
 
     def _pack(self, cs):
         """Raw value with coordinates cs (lower raws, ascending; missing ones 0)."""
         if self.lower is None:
             raise ValueError("prime contexts have no coordinate vectors")
-        if self.depth == 1:
-            w, v = self._w, 0
-            for c in reversed(cs):
-                v = v << w | c
-            return v
-        return tuple(cs) + (self.lower._zero_raw,) * (self.degree - len(cs))
+        stride, v = self._stride, 0
+        for c in reversed(cs):
+            v = v << stride | c
+        return v
 
     def _unpack(self, a):
         """The degree coordinates of a raw value, as lower raws, ascending."""
         if self.lower is None:
             raise ValueError("prime contexts have no coordinate vectors")
-        if self.depth == 1:
-            w = self._w
-            mask = (1 << w) - 1
-            return tuple(a >> (w * i) & mask for i in range(self.degree))
-        return a
+        stride = self._stride
+        mask = (1 << stride) - 1
+        return tuple([a >> s & mask for s in range(0, stride * self.degree, stride)])
 
     # -- raw arithmetic ------------------------------------------------------
 
@@ -499,9 +488,7 @@ class FieldContext:
                 f"element of {v.ctx.describe()} used in {self.describe()}"
             )
         if isinstance(v, int):
-            if self.lower is None:
-                return v % self.p
-            return self._pack((self.lower._coerce(v),))
+            return v % self.p
         if self.lower is not None and isinstance(v, (tuple, list)):
             if len(v) != self.degree:
                 raise ValueError(
@@ -515,28 +502,19 @@ class FieldContext:
         return v - self.p * ((v * self._red_mul >> self._red_shift) & self._red_mask)
 
     def _add(self, a, b):
-        lo = self.lower
-        if lo is None:
+        if self.lower is None:
             return (a + b) % self.p
-        if self.depth == 1:
-            return self._red(a + b)
-        return tuple(lo._add(x, y) for x, y in zip(a, b))
+        return self._red(a + b)
 
     def _neg(self, a):
-        lo = self.lower
-        if lo is None:
+        if self.lower is None:
             return -a % self.p
-        if self.depth == 1:
-            return self._red(self._p_slots - a)
-        return tuple(lo._neg(x) for x in a)
+        return self._red(self._p_slots - a)
 
     def _sub(self, a, b):
-        lo = self.lower
-        if lo is None:
+        if self.lower is None:
             return (a - b) % self.p
-        if self.depth == 1:
-            return self._red(a + self._p_slots - b)
-        return tuple(lo._sub(x, y) for x, y in zip(a, b))
+        return self._red(a + self._p_slots - b)
 
     def _mul(self, a, b):
         lo = self.lower
@@ -549,7 +527,8 @@ class FieldContext:
             t = red(a * b)
             q = red((t >> self._hi_shift) * self._mu) >> self._q_shift
             return red((t + q * self._xk) & self._low)
-        return self._pack(_pmod(lo, _pmul(lo, a, b), self.modulus))
+        product = _pmul(lo, self._unpack(a), self._unpack(b))
+        return self._pack(_pmod(lo, product, self.modulus))
 
     def _scalar_mul(self, c, a):
         """Multiply by a scalar from the next-lower level."""
@@ -558,17 +537,16 @@ class FieldContext:
             return a * c % self.p
         if self.depth == 1:
             return self._red(c * a)
-        return tuple(lo._mul(c, x) for x in a)
+        return self._pack([lo._mul(c, x) for x in self._unpack(a)])
 
     def _inv(self, a):
-        if a == self._zero_raw:
+        if not a:
             raise ZeroDivisionError("division by zero")
-        p = self.p
-        if self.lower is None:
+        p, lo = self.p, self.lower
+        if lo is None:
             return pow(a, p - 2, p)
         if self.depth > 1:
-            inv = _pinvmod(self.lower, _pstrip(self.lower, a), self.modulus)
-            return self._pack(inv)
+            return self._pack(_pinvmod(lo, _pstrip(lo, self._unpack(a)), self.modulus))
         # extended Euclid on packed polynomials: r0 = s0 * a mod the modulus
         red, w = self._red, self._w
         r0, r1, s0, s1 = self._packed_mod, a, 0, 1
@@ -593,7 +571,7 @@ class FieldContext:
         if self.lower is None:
             return pow(a, e, self.p)
         if not e:
-            return self._one_raw
+            return 1
         result = a  # square and multiply from the top bit down
         for bit in bin(e)[3:]:
             result = self._mul(result, result)
@@ -610,27 +588,24 @@ class FieldContext:
         if self.depth == 1:
             return self._pow(a, self.subfield_order**k)
         # x -> x^(Q^k) fixes the coordinates, which lie in the lower field,
-        # so it maps a to sum a_i (X^i)^(Q^k); one table per k
+        # so it maps a to sum a_i (X^i)^(Q^k); one table per k, unpacked
         tbl = self._frob_tables.get(k)
         if tbl is None:
             xq = self._pow(self._gen_raw(), self.subfield_order**k)
-            tbl = self._frob_tables[k] = _powers(self, xq, self.degree)
-        acc = self._zero_raw
-        zl = self.lower._zero_raw
-        for c, t in zip(a, tbl):
-            if c != zl:
-                acc = self._add(acc, self._scalar_mul(c, t))
+            tbl = [self._unpack(t) for t in _powers(self, xq, self.degree)]
+            self._frob_tables[k] = tbl
+        mul, acc = self.lower._mul, 0
+        for c, t in zip(self._unpack(a), tbl):
+            if c:
+                acc = self._add(acc, self._pack([mul(c, x) for x in t]))
         return acc
 
     def _gen_raw(self):
         if self.lower is None:
             raise ValueError("prime contexts have no generator")
         if self.degree == 1:
-            return self._pack((self.lower._neg(self.modulus[0]),))
-        return self._pack((self.lower._zero_raw, self.lower._one_raw))
-
-    def _from_base_raw(self, c):
-        return self._pack((c,))
+            return self.lower._neg(self.modulus[0])
+        return self._pack((0, 1))
 
     def _nth(self, i):
         if self.lower is None:
@@ -658,11 +633,11 @@ class FieldContext:
 
     @property
     def zero(self):
-        return FieldElement._wrap(self, self._zero_raw)
+        return FieldElement._wrap(self, 0)
 
     @property
     def one(self):
-        return FieldElement._wrap(self, self._one_raw)
+        return FieldElement._wrap(self, 1)
 
     def element(self, v):
         return FieldElement(self, v)
@@ -696,15 +671,14 @@ class FieldContext:
             return FieldElement._wrap(self, self._coerce(a))
         if a.ctx != self.lower:
             raise ContextMismatchError("element is not in the base field")
-        return FieldElement._wrap(self, self._from_base_raw(a.raw))
+        return FieldElement._wrap(self, a.raw)
 
     def to_base(self, a):
         if not isinstance(a, FieldElement) or a.ctx != self:
             raise ContextMismatchError("element does not belong to this context")
-        cs = self._unpack(a.raw)
-        if any(c != self.lower._zero_raw for c in cs[1:]):
+        if a.raw >> self._stride:  # a coordinate above coordinate 0
             raise ValueError("element does not lie in the base field")
-        return FieldElement._wrap(self.lower, cs[0])
+        return FieldElement._wrap(self.lower, a.raw)
 
     def extension(self, modulus):
         """Extend by a monic irreducible modulus over this field.
@@ -806,11 +780,11 @@ class FieldElement:
         return hash((self.ctx, self.raw))
 
     def __bool__(self):
-        return self.raw != self.ctx._zero_raw
+        return self.raw != 0
 
     @property
     def is_zero(self):
-        return self.raw == self.ctx._zero_raw
+        return self.raw == 0
 
     def frobenius(self, k=1):
         """a^(q^k) where q is the order of the next-lower level."""
@@ -859,7 +833,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, ctx):
-        return cls._wrap(ctx, (ctx._one_raw,))
+        return cls._wrap(ctx, (1,))
 
     @classmethod
     def constant(cls, ctx, c):
@@ -880,12 +854,12 @@ class Polynomial:
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.ctx._one_raw
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def coefficient(self, i):
         if 0 <= i < len(self.coeffs):
             return FieldElement._wrap(self.ctx, self.coeffs[i])
-        return FieldElement._wrap(self.ctx, self.ctx._zero_raw)
+        return FieldElement._wrap(self.ctx, 0)
 
     def coefficients(self):
         return tuple(FieldElement._wrap(self.ctx, c) for c in self.coeffs)
@@ -1054,7 +1028,7 @@ def minimal_polynomial(a):
     Berlekamp-Massey plus a certificate (degree = orbit length, h(a) = 0)."""
     ctx = a.ctx
     if ctx.lower is None:
-        return Polynomial._wrap(ctx, (ctx._neg(a.raw), ctx._one_raw))
+        return Polynomial._wrap(ctx, (ctx._neg(a.raw), 1))
     h = _pminpoly(ctx, a.raw, len(_orbit(ctx, a.raw)))
     _check_minpoly(ctx, a.raw, h)
     return Polynomial._wrap(ctx.lower, h)
@@ -1071,20 +1045,17 @@ def _pminpoly(K, a, d):
     ISSAC 1999).  No conjugate of a is formed.
     """
     lo = K.lower
-    powers = [K._one_raw]
+    powers = [1]
     for _ in range(2 * d - 1):
         powers.append(K._mul(powers[-1], a))
-    if K.depth == 1:
-        mask = (1 << K._w) - 1
-        seq = [x & mask for x in powers]
-    else:
-        seq = [x[0] for x in powers]
+    mask = (1 << K._stride) - 1  # coordinate 0
+    seq = [x & mask for x in powers]
     # C is the connection polynomial of the L-term recurrence found so far,
     # B the one before the last length change and b its discrepancy; the
     # discrepancy at step i is C . (s_i, s_(i-1), ...), a window of rs
     n = len(seq)
     rs = seq[::-1]
-    C, B, b, L, shift = [lo._one_raw], [lo._one_raw], lo._one_raw, 0, 1
+    C, B, b, L, shift = [1], [1], 1, 0, 1
     if lo.lower is None:
         p = lo.p
         for i in range(n):
@@ -1103,17 +1074,17 @@ def _pminpoly(K, a, d):
             else:
                 shift += 1
     else:
-        z, add, mul, sub = lo._zero_raw, lo._add, lo._mul, lo._sub
+        add, mul, sub = lo._add, lo._mul, lo._sub
         for i in range(n):
-            d = z
+            d = 0
             for c, s in zip(C, rs[n - 1 - i :]):
                 d = add(d, mul(c, s))
-            if d == z:
+            if not d:
                 shift += 1
                 continue
             coef = mul(d, lo._inv(b))
             T = C[:]
-            C.extend([z] * (len(B) + shift - len(C)))
+            C.extend([0] * (len(B) + shift - len(C)))
             C[shift : shift + len(B)] = [
                 sub(c, mul(coef, bj)) for c, bj in zip(C[shift:], B)
             ]
@@ -1121,7 +1092,7 @@ def _pminpoly(K, a, d):
                 L, B, b, shift = i + 1 - L, T, d, 1
             else:
                 shift += 1
-    C.extend([lo._zero_raw] * (L + 1 - len(C)))
+    C.extend([0] * (L + 1 - len(C)))
     return tuple(reversed(C[: L + 1]))
 
 
@@ -1129,8 +1100,7 @@ def _check_minpoly(K, a, h):
     """Raise RuntimeError unless h (raw, over K.lower) is minpoly(a).  A monic
     h of degree |orbit(a)| (by Frobenius) with h(a) = 0 (by Horner) is; no
     part of the check shares code with _pminpoly."""
-    if (h[-1] != K.lower._one_raw or len(h) - 1 != len(_orbit(K, a))
-            or _peval_base(K, h, a) != K._zero_raw):
+    if h[-1] != 1 or len(h) - 1 != len(_orbit(K, a)) or _peval(K, h, a):
         raise RuntimeError("minimal polynomial fails its certificate")
 
 
@@ -1188,10 +1158,9 @@ def random_irreducible(ctx, degree, *, rng=None, seed=DEFAULT_SEED):
         raise ValueError("degree must be >= 1")
     if rng is None:
         rng = random.Random(seed)
-    one = ctx._one_raw
     sieve = min(6, degree // 2)
     while True:
-        coeffs = [ctx._random_raw(rng) for _ in range(degree)] + [one]
+        coeffs = [ctx._random_raw(rng) for _ in range(degree)] + [1]
         f = Polynomial._wrap(ctx, tuple(coeffs))
         if degree == 1:
             return f
@@ -1205,7 +1174,7 @@ def evaluate_in_extension(f, x):
     ext = x.ctx
     if ext.lower is None or ext.lower != f.ctx:
         raise ContextMismatchError("point must lie in an extension of the coefficient field")
-    return FieldElement._wrap(ext, _peval_base(ext, f.coeffs, x.raw))
+    return FieldElement._wrap(ext, _peval(ext, f.coeffs, x.raw))
 
 
 def _split_root(K, f, rng):
@@ -1215,10 +1184,10 @@ def _split_root(K, f, rng):
     ring = FieldContext(K.p, lower=K, modulus=tuple(f))
     while ring.degree > 1:
         u = ring._pack([K._random_raw(rng) for _ in range(ring.degree)])
-        if u == ring._zero_raw:
+        if not u:
             continue
         if Q % 2:
-            w = ring._sub(ring._pow(u, (Q - 1) // 2), ring._one_raw)
+            w = ring._sub(ring._pow(u, (Q - 1) // 2), 1)
         else:
             w = s = u  # the trace u + u^2 + u^4 + ... + u^(Q/2)
             for _ in range(Q.bit_length() - 2):
@@ -1265,9 +1234,9 @@ def find_root(f, ext, *, seed=DEFAULT_SEED):
             break
     _check_minpoly(ext, gamma, h)
     small = FieldContext(ext.p, lower=base, modulus=h)
-    r = _split_root(small, [small._from_base_raw(c) for c in f.coeffs], rng)
-    root = _peval_base(ext, small._unpack(r), gamma)
-    if _peval_base(ext, f.coeffs, root) != ext._zero_raw:
+    r = _split_root(small, f.coeffs, rng)
+    root = _peval(ext, small._unpack(r), gamma)
+    if _peval(ext, f.coeffs, root):
         raise RuntimeError("the root found in the subfield is not a root of f")
     return FieldElement._wrap(ext, min(_orbit(ext, root), key=ext._to_int))
 
@@ -1306,10 +1275,9 @@ class Embedding:
         if not isinstance(a, FieldElement) or a.ctx != self.small:
             raise ContextMismatchError("element is not in the small field")
         big = self.big
-        zl = self.small.lower._zero_raw
-        acc = big._zero_raw
+        acc = 0
         for c, w in zip(self.small._unpack(a.raw), self._pows):
-            if c != zl:
+            if c:
                 acc = big._add(acc, big._scalar_mul(c, w))
         return FieldElement._wrap(big, acc)
 
@@ -1355,11 +1323,10 @@ def _orbit_factors(emb, a, count):
 # Text formats.
 
 
-def element_to_text(a, _level=0):
-    ctx = a.ctx if isinstance(a, FieldElement) else None
-    if ctx is None:
+def element_to_text(a):
+    if not isinstance(a, FieldElement):
         raise TypeError("expected a FieldElement")
-    return _raw_to_text(ctx, a.raw, _level)
+    return _raw_to_text(a.ctx, a.raw, 0)
 
 
 def _raw_to_text(ctx, raw, level):
@@ -1379,8 +1346,8 @@ def _raw_to_display(ctx, raw):
     return "[" + ", ".join(_raw_to_display(ctx.lower, c) for c in ctx._unpack(raw)) + "]"
 
 
-def element_from_text(ctx, s, _level=0):
-    return FieldElement._wrap(ctx, _raw_from_text(ctx, s.strip(), _level))
+def element_from_text(ctx, s):
+    return FieldElement._wrap(ctx, _raw_from_text(ctx, s.strip(), 0))
 
 
 def _raw_from_text(ctx, s, level):

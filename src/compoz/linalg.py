@@ -9,8 +9,7 @@ from __future__ import annotations
 
 
 def identity(K, n):
-    z, o = K._zero_raw, K._one_raw
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def transpose(A):
@@ -27,16 +26,15 @@ def mat_sub(K, A, B):
 def mat_mul(K, A, B):
     if not A or not B:
         return ()
-    z = K._zero_raw
     add, mul = K._add, K._mul
     Bt = transpose(B)
     out = []
     for row in A:
         out_row = []
         for col in Bt:
-            acc = z
+            acc = 0
             for a, b in zip(row, col):
-                if a != z and b != z:
+                if a and b:
                     acc = add(acc, mul(a, b))
             out_row.append(acc)
         out.append(tuple(out_row))
@@ -59,8 +57,7 @@ def mat_pow(K, A, e):
 
 
 def mat_is_zero(K, A):
-    z = K._zero_raw
-    return all(c == z for row in A for c in row)
+    return not any(c for row in A for c in row)
 
 
 def rref(K, A):
@@ -69,19 +66,18 @@ def rref(K, A):
         return (), ()
     rows = [list(r) for r in A]
     nrows, ncols = len(rows), len(rows[0])
-    z = K._zero_raw
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != z), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = K._inv(rows[r][c])
-        if inv != K._one_raw:
+        if inv != 1:
             rows[r] = [K._mul(inv, v) for v in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c] != z:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [K._sub(v, K._mul(f, w)) for v, w in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -137,16 +133,14 @@ class LinearSolver:
 
     def solve(self, b):
         K = self.K
-        z = K._zero_raw
         add, mul = K._add, K._mul
         y = []
         for row in self._transform:
-            acc = z
+            acc = 0
             for e, v in zip(row, b):
-                if e != z and v != z:
+                if e and v:
                     acc = add(acc, mul(e, v))
             y.append(acc)
-        for v in y[self.ncols :]:
-            if v != z:
-                return None
+        if any(y[self.ncols :]):
+            return None
         return tuple(y[: self.ncols])

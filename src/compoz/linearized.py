@@ -42,7 +42,7 @@ class QPolynomial(NamedTuple):
     @classmethod
     def build(cls, ctx, coeffs):
         raws = [ctx._coerce(c) for c in coeffs]
-        while raws and raws[-1] == ctx._zero_raw:
+        while raws and not raws[-1]:
             raws.pop()
         return cls(ctx=ctx, coeffs=tuple(raws))
 
@@ -60,13 +60,12 @@ class QPolynomial(NamedTuple):
         ext = x.ctx
         if ext.lower is None or ext.lower != self.ctx:
             raise ContextMismatchError("argument must lie in an extension of the base")
-        zl = self.ctx._zero_raw
-        acc = ext._zero_raw
+        acc = 0
         cur = x.raw
         for i, c in enumerate(self.coeffs):
             if i:
                 cur = ext._frob(cur, 1)
-            if c != zl:
+            if c:
                 acc = ext._add(acc, ext._scalar_mul(c, cur))
         return FieldElement._wrap(ext, acc)
 
@@ -183,7 +182,7 @@ class StaircasePoly(NamedTuple):
         return tuple(
             (k, FieldElement._wrap(self.poly.ctx, c))
             for k, c in enumerate(self.poly.coeffs)
-            if c != self.poly.ctx._zero_raw
+            if c
         )
 
     @property

@@ -55,7 +55,7 @@ def naive_factor(f):
             for _ in range(d):
                 digits.append(K._nth(v % K.order))
                 v //= K.order
-            h = Polynomial._wrap(K, tuple(digits) + (K._one_raw,))
+            h = Polynomial._wrap(K, (*digits, 1))
             quo, rem = divmod(remaining, h)
             if rem.is_zero:
                 e = 1
@@ -93,12 +93,11 @@ def _grid_from_scratch(spec, pair):
     if spec.kind == "phi":
         phi = spec.phi
         pm, pn = phi.m, phi.n
-        zl = phi.ctx._zero_raw
         alphas = q_powers(pair.alpha.raw, m)
         betas = q_powers(pair.beta.raw, n)
         if phi.basis == MONOMIAL:
             def terms(raw, count):
-                out = [ctx._one_raw]
+                out = [1]
                 for _ in range(1, count):
                     out.append(ctx._mul(out[-1], raw))
                 return out
@@ -108,11 +107,11 @@ def _grid_from_scratch(spec, pair):
         ys = [terms(b, pn) for b in betas]
         for i in range(m):
             for j in range(n):
-                acc = ctx._zero_raw
+                acc = 0
                 for a in range(pm):
                     for b in range(pn):
                         c = phi.rows[a][b]
-                        if c != zl:
+                        if c:
                             acc = ctx._add(
                                 acc, ctx._scalar_mul(c, ctx._mul(xs[i][a], ys[j][b]))
                             )

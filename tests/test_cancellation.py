@@ -30,13 +30,6 @@ def test_petr_berlekamp_rejects_reducible(F3):
         cz.petr_berlekamp_matrix(cz.poly_from_text(F3, "2,0,1"))
 
 
-def test_shift_matrix_has_full_order(F3):
-    M = cz.normal_basis_shift_matrix(F3, 5)
-    assert linalg.mat_pow(F3, M, 5) == linalg.identity(F3, 5)
-    for k in range(1, 5):
-        assert linalg.mat_pow(F3, M, k) != linalg.identity(F3, 5)
-
-
 def test_printed_matrix_product(worked):
     A = cz.petr_berlekamp_matrix(worked.f)
     D = linalg.mat_sub(

@@ -211,6 +211,22 @@ def test_twisted_command(capsys):
     assert code == 1
 
 
+def test_broken_invariant_exits_3(capsys, monkeypatch):
+    # routes that disagree are a fault of the library, not of the input
+    run_routes = cli.run_routes
+
+    def disagreeing(bd, route):
+        verdicts = run_routes(bd, route)
+        first = next(iter(verdicts))
+        verdicts[first] = verdicts[first]._replace(holds=not verdicts[first].holds)
+        return verdicts
+
+    monkeypatch.setattr(cli, "run_routes", disagreeing)
+    code, out, err = run(capsys, "check-cc", *WORKED, "--phi", PHI_CC, "--route", "all")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "disagree" in err and len(err.splitlines()) == 1
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "compose", "--q", "3")[0] == 2        # missing flags
     assert run(capsys, "no-such-command")[0] == 2

@@ -1,10 +1,14 @@
-"""scripts/run_sweeps.py refuses malformed sweeps with exit 2 and one line."""
+"""scripts/run_sweeps.py refuses malformed sweeps with exit 2 and one line,
+and reports a broken invariant with exit 3."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from compoz import oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +45,19 @@ def test_routes_takes_no_tables():
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert "unrecognized arguments: --tables 7" in proc.stderr.splitlines()[-1]
+
+
+def test_broken_invariant_exits_3(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("run_sweeps", ROOT / "scripts" / "run_sweeps.py")
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends "src"
+    spec.loader.exec_module(script)
+
+    def broken(bd, route="all"):
+        raise RuntimeError("minimal polynomial fails its certificate")
+
+    monkeypatch.setattr(oracle, "run_routes", broken)
+    code = script.main(["routes", "--fields", "2", "--pairs", "2,3", "--count", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "error: minimal polynomial fails its certificate\n"
