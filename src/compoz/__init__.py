@@ -39,7 +39,6 @@ from .diamond import (
     composed_product,
     factor_report,
     intermediate_factorization,
-    rank_decomposition,
 )
 from .cancellation import (
     CcVerdict,
@@ -55,8 +54,6 @@ from .cancellation import (
     verify_extension_degree,
 )
 from .linearized import (
-    QPolynomial,
-    StaircasePoly,
     TwistedParams,
     bilinear_cc_test,
     embed_pair,
@@ -74,7 +71,6 @@ from .oracle import (
     SweepConfig,
     brute_admissible_degrees,
     exhaustive_cc,
-    exhaustive_normal_scan,
     naive_factor,
     normal_by_gcd,
     run_factor_structure_sweep,

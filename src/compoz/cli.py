@@ -272,11 +272,11 @@ def _cmd_staircase(args):
         "q": base.order,
         "m": m,
         "n": n,
-        "staircase": poly_to_text(st.poly),
+        "staircase": poly_to_text(st),
         "normal": verdict,
     }
     _emit(args, doc, [
-        f"staircase: {poly_to_text(st.poly)}",
+        f"staircase: {poly_to_text(st)}",
         f"value normal: {str(verdict).lower()}",
     ])
     return 0 if verdict else 1

@@ -24,7 +24,6 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import linalg
 from .ff import (
     DEFAULT_SEED,
     ContextMismatchError,
@@ -172,33 +171,6 @@ class PhiPoly(NamedTuple):
                 raise ValueError(f"expected {n} entries per row, got {len(parts)}")
             rows.append(tuple(_raw_from_text(ctx, p, 1) for p in parts))
         return cls._from_raw(ctx, tuple(rows), basis)
-
-
-def rank_decomposition(phi):
-    """Rank factorization of the coefficient matrix into independent u, v lists.
-
-    Returns (us, vs) with phi = sum of u_s(X) v_s(Y); the rank is len(us).
-    For a linearized phi the returned polynomials are coefficient vectors of
-    q-powers rather than ordinary polynomials; their reconstruction identity
-    is the same either way.
-    """
-    ctx = phi.ctx
-    r, left, right = linalg.rank_factorization(ctx, phi.rows)
-    us = tuple(Polynomial._from_raw(ctx, tuple(row[s] for row in left)) for s in range(r))
-    vs = tuple(Polynomial._from_raw(ctx, right[s]) for s in range(r))
-    rebuilt = [[0] * phi.n for _ in range(phi.m)]
-    for u, v in zip(us, vs):
-        for i in range(phi.m):
-            ui = u.coefficient(i).raw
-            if not ui:
-                continue
-            for j in range(phi.n):
-                vj = v.coefficient(j).raw
-                if vj:
-                    rebuilt[i][j] = ctx._add(rebuilt[i][j], ctx._mul(ui, vj))
-    if tuple(tuple(row) for row in rebuilt) != phi.rows:
-        raise RuntimeError("rank factorization failed to reconstruct the matrix")
-    return us, vs
 
 
 class RootPair:

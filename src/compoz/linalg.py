@@ -91,15 +91,6 @@ def mat_rank(K, A):
     return len(rref(K, A)[1])
 
 
-def rank_factorization(K, A):
-    """Write A as L @ R with L of shape m x r and R of shape r x n, r = rank."""
-    R, pivots = rref(K, A)
-    r = len(pivots)
-    left = tuple(tuple(row[c] for c in pivots) for row in A)
-    right = R[:r]
-    return r, left, right
-
-
 class LinearSolver:
     """Solve V x = b for a fixed full-column-rank set of columns V.
 

@@ -17,7 +17,7 @@ import random
 from typing import NamedTuple
 
 from . import linalg
-from .diamond import LINEARIZED, PhiPoly
+from .diamond import LINEARIZED, PhiPoly, RootPair
 from .ff import (
     DEFAULT_SEED,
     ContextMismatchError,
@@ -28,46 +28,8 @@ from .ff import (
     _orbit,
     degree_over_base,
     distinct_prime_factors,
-    extension_field,
 )
 from .orbits import nu_p
-
-
-class QPolynomial(NamedTuple):
-    """A q-polynomial sum c_i X^(q^i); coeffs[i] is the coefficient of X^(q^i)."""
-
-    ctx: object
-    coeffs: tuple
-
-    @classmethod
-    def build(cls, ctx, coeffs):
-        raws = [ctx._coerce(c) for c in coeffs]
-        while raws and not raws[-1]:
-            raws.pop()
-        return cls(ctx=ctx, coeffs=tuple(raws))
-
-    @property
-    def q_degree(self):
-        """Largest i with a nonzero coefficient, or None for zero."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def evaluate(self, x):
-        """Evaluate at an element of an extension of the coefficient field."""
-        ext = x.ctx
-        if ext.lower is None or ext.lower != self.ctx:
-            raise ContextMismatchError("argument must lie in an extension of the base")
-        acc = 0
-        cur = x.raw
-        for i, c in enumerate(self.coeffs):
-            if i:
-                cur = ext._frob(cur, 1)
-            if c:
-                acc = ext._add(acc, ext._scalar_mul(c, cur))
-        return FieldElement._wrap(ext, acc)
 
 
 # -- normality ----------------------------------------------------------------
@@ -102,22 +64,19 @@ def random_normal_element(ctx, *, rng=None, seed=DEFAULT_SEED):
             return a
 
 
-def embed_pair(alpha, beta, *, ctx=None, seed=DEFAULT_SEED):
+def embed_pair(alpha, beta, *, seed=DEFAULT_SEED):
     """Embed elements of two extensions of one base into a common field.
 
-    Returns the pair of images; the shared context has degree
-    lcm(deg(alpha ctx), deg(beta ctx)) unless one is supplied.
+    Returns the pair of images in the field of RootPair.build on the two
+    moduli: degree lcm(deg(alpha ctx), deg(beta ctx)), drawn with seed, each
+    modulus' generator sent to its smallest-index root there.
     """
     am, bn = alpha.ctx, beta.ctx
     if am.lower is None or bn.lower is None or am.lower != bn.lower:
         raise ContextMismatchError("need elements of two extensions of one base field")
-    L = math.lcm(am.degree, bn.degree)
-    if ctx is None:
-        ctx = extension_field(am.lower, L, seed=seed)
-    if ctx.degree % L != 0 or ctx.lower != am.lower:
-        raise ValueError("supplied context cannot host both elements")
-    ea = Embedding.find(am, ctx, seed=seed)
-    eb = Embedding.find(bn, ctx, seed=seed)
+    pair = RootPair.build(am.modulus_poly(), bn.modulus_poly(), seed=seed)
+    ea = Embedding(am, pair.ctx, pair.alpha)
+    eb = Embedding(bn, pair.ctx, pair.beta)
     return ea(alpha), eb(beta)
 
 
@@ -153,54 +112,35 @@ def linearized_degree_criterion(psi, m):
     """Sufficient: a q-polynomial of degree below q^(m - m1) maps every
     normal element of GF(q^m) to a generator of GF(q^m).
 
-    m1 is the largest proper divisor of m.  False is inconclusive.
+    psi is the conventional associate of the q-polynomial sum c_i X^(q^i):
+    the Polynomial over the base whose coefficient i is c_i, so the
+    q-degree is psi.degree.  m1 is the largest proper divisor of m.  False
+    is inconclusive.
     """
     if m < 2:
         raise ValueError("criterion needs m > 1")
-    d = psi.q_degree
-    if d is None:
+    if psi.degree is None:
         return False
     m1 = m // distinct_prime_factors(m)[0]
-    return d < m - m1
+    return psi.degree < m - m1
 
 
 # -- staircase polynomials -----------------------------------------------------
 
 
-class StaircasePoly(NamedTuple):
-    """Diagonal read-out of a linearized coefficient grid.
-
-    poly has coefficient c_(k mod m, k mod n) at X^k for k = 0 .. mn-1.
-    """
-
-    poly: Polynomial
-    m: int
-    n: int
-
-    @property
-    def terms(self):
-        return tuple(
-            (k, FieldElement._wrap(self.poly.ctx, c))
-            for k, c in enumerate(self.poly.coeffs)
-            if c
-        )
-
-    @property
-    def binomial_exponents(self):
-        """(s, t) when the staircase has exactly two terms, else None."""
-        t = self.terms
-        return (t[0][0], t[1][0]) if len(t) == 2 else None
-
-
 def staircase(phi):
-    """The staircase polynomial of a linearized phi with coprime dimensions."""
+    """The staircase polynomial of a linearized phi with coprime dimensions.
+
+    A Polynomial over phi's field with coefficient c_(k mod m, k mod n) at
+    X^k for k = 0 .. mn-1.
+    """
     if phi.basis != LINEARIZED:
         raise ValueError("staircase polynomials read the linearized basis")
     m, n = phi.m, phi.n
     if math.gcd(m, n) != 1:
         raise ValueError("staircase needs coprime dimensions")
     coeffs = [phi.rows[k % m][k % n] for k in range(m * n)]
-    return StaircasePoly(poly=Polynomial._from_raw(phi.ctx, coeffs), m=m, n=n)
+    return Polynomial._from_raw(phi.ctx, coeffs)
 
 
 def staircase_normal_test(phi, alpha, beta):
@@ -210,19 +150,16 @@ def staircase_normal_test(phi, alpha, beta):
     subfields, presented inside a common extension of degree m*n.
     """
     st = staircase(phi)
-    m, n = st.m, st.n
+    m, n = phi.m, phi.n
     _check_normal_pair(alpha, beta, m, n)
-    base = phi.ctx
-    xmn = Polynomial(base, [-1] + [0] * (m * n - 1) + [1])
-    g = st.poly.gcd(xmn)
-    return g.degree == 0
+    xmn = Polynomial(phi.ctx, [-1] + [0] * (m * n - 1) + [1])
+    return st.gcd(xmn).degree == 0
 
 
 def _check_normal_pair(alpha, beta, m, n):
+    # is_normal(x, r) is False unless x has exactly r conjugates
     if alpha.ctx != beta.ctx:
         raise ContextMismatchError("the pair must live in one context")
-    if degree_over_base(alpha) != m or degree_over_base(beta) != n:
-        raise ValueError("pair degrees do not match the matrix dimensions")
     if not is_normal(alpha, m):
         raise ValueError("first argument is not normal in its subfield")
     if not is_normal(beta, n):

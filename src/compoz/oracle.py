@@ -29,7 +29,7 @@ from .ff import (
 from .orbits import coprime_decomposition, divisors, valuations_all_distinct
 
 _FACTOR_CANDIDATE_CAP = 65536
-_NORMAL_SCAN_CAP = 1 << 16
+_SWEEP_SIZE_CAP = 1 << 24  # largest q^lcm(m, n) of a sweep instance
 
 
 def naive_factor(f):
@@ -166,13 +166,6 @@ def normal_by_gcd(gamma):
     return gpoly.gcd(xm1).degree == 0
 
 
-def exhaustive_normal_scan(ctx):
-    """Exact count of normal elements by scanning the whole field."""
-    if ctx.order > _NORMAL_SCAN_CAP:
-        raise ValueError("field too large for an exhaustive normal scan")
-    return sum(1 for a in ctx.all_elements() if normal_by_gcd(a))
-
-
 def brute_admissible_degrees(m, n):
     """Divisors r of lcm(m, n) with lcm(r, m) = lcm(r, n) = lcm(m, n), by scan."""
     L = math.lcm(m, n)
@@ -192,13 +185,12 @@ class SweepConfig(NamedTuple):
     phi_count: int = 50
     table_count: int = 0
     seed: int = DEFAULT_SEED
-    size_cap: int = 1 << 24
 
     def instances(self):
         for field_spec in self.fields:
             base = parse_field_spec(str(field_spec))
             for m, n in self.pairs:
-                if base.order ** math.lcm(m, n) > self.size_cap:
+                if base.order ** math.lcm(m, n) > _SWEEP_SIZE_CAP:
                     raise ValueError(
                         f"instance q={base.order}, (m, n)=({m}, {n}) exceeds the size cap"
                     )

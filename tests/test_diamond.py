@@ -49,13 +49,12 @@ def test_phi_over_extension_base_keeps_entries():
     for j in range(3):
         assert phi.col_poly(j) == cz.Polynomial(gf4, [row[j] for row in entries])
     assert cz.PhiPoly.from_text(gf4, phi.to_text()) == phi
-    cz.rank_decomposition(phi)  # raises unless the factors rebuild the grid
     drawn = cz.PhiPoly.random(gf4, 2, 3, rng)
     rebuilt = [[drawn.row_poly(i).coefficient(j) for j in range(3)] for i in range(2)]
     assert cz.PhiPoly.build(gf4, rebuilt) == drawn
     lin = cz.PhiPoly.build(gf4, entries, cz.LINEARIZED)
     st = cz.staircase(lin)
-    assert [st.poly.coefficient(k) for k in range(6)] == [entries[k % 2][k % 3] for k in range(6)]
+    assert [st.coefficient(k) for k in range(6)] == [entries[k % 2][k % 3] for k in range(6)]
 
 
 # -- binding and evaluation -------------------------------------------------------
@@ -433,39 +432,39 @@ def test_factor_report_doc_is_sorted(worked):
     assert degrees == sorted(degrees)
 
 
-# -- rank decomposition ----------------------------------------------------------------
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_factor_report_matches_sympy(p):
+    # the report's minimal polynomials, grouped with summed multiplicities,
+    # are the monic irreducible factors of the product found by sympy
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor
 
-
-def test_rank_decomposition_worked(worked):
-    us, vs = cz.rank_decomposition(worked.phi_cc)
-    assert len(us) == len(vs) == 2
-
-
-def test_rank_decomposition_rank_one(F3):
-    phi = cz.PhiPoly.build(F3, [(1, 2, 0), (2, 4 % 3, 0)])
-    us, vs = cz.rank_decomposition(phi)
-    assert len(us) == len(vs) == 1
-
-
-def test_rank_decomposition_zero(F3):
-    phi = cz.PhiPoly.build(F3, [(0, 0), (0, 0)])
-    us, vs = cz.rank_decomposition(phi)
-    assert us == () and vs == ()
-
-
-def test_rank_decomposition_random_independence(F2):
-    rng = random.Random(4)
-    from compoz import linalg
-
-    for _ in range(10):
-        phi = cz.PhiPoly.random(F2, 4, 5, rng)
-        us, vs = cz.rank_decomposition(phi)
-        assert len(us) == len(vs)
-        if us:
-            u_rows = tuple(
-                tuple(u.coefficient(i).raw for i in range(4)) for u in us
-            )
-            assert linalg.mat_rank(F2, u_rows) == len(us)
+    F = cz.prime_field(p)
+    rng = random.Random(f"sympy factor:{p}")
+    for m, n in ((2, 3), (2, 4), (3, 3), (4, 6), (1, 3)):
+        if p ** (m * n) > 2**40:
+            continue
+        f = cz.random_irreducible(F, m, rng=rng)
+        g = cz.random_irreducible(F, n, rng=rng)
+        pair = cz.RootPair.build(f, g)
+        specs = [
+            cz.DiamondSpec.from_phi(cz.PhiPoly.random(F, m, n, rng, basis=basis))
+            for basis in (cz.MONOMIAL, cz.LINEARIZED)
+        ]
+        specs.append(cz.DiamondSpec.from_table(
+            m, n, [pair.ctx.random_element(rng) for _ in range(math.gcd(m, n))]
+        ))
+        for spec in specs:
+            rep = cz.factor_report(f, g, spec, pair=pair)
+            grouped = {}
+            for e in rep.entries:
+                key = tuple(c.to_int() for c in reversed(e.min_poly.coefficients()))
+                grouped[key] = grouped.get(key, 0) + e.multiplicity
+            high_first = [c.to_int() for c in reversed(rep.product.coefficients())]
+            lc, factors = gf_factor(high_first, p, ZZ)
+            assert lc == 1
+            assert grouped == {tuple(int(c) for c in h): k for h, k in factors}
 
 
 # -- intermediate factorization -----------------------------------------------------

@@ -6,12 +6,6 @@ import compoz as cz
 from compoz import linalg
 
 
-def _random_matrix(ctx, rows, cols, rng):
-    return tuple(
-        tuple(ctx._random_raw(rng) for _ in range(cols)) for _ in range(rows)
-    )
-
-
 def test_identity_and_pow(F3):
     I = linalg.identity(F3, 3)
     A = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
@@ -24,18 +18,6 @@ def test_rank_examples(F3):
     assert linalg.mat_rank(F3, ((0, 2, 1), (1, 0, 0), (1, 0, 0), (0, 0, 0))) == 2
     assert linalg.mat_rank(F3, ((0, 0), (0, 0))) == 0
     assert linalg.mat_rank(F3, linalg.identity(F3, 4)) == 4
-
-
-def test_rank_factorization_reconstructs(F3):
-    rng = random.Random(0)
-    for _ in range(25):
-        A = _random_matrix(F3, 4, 3, rng)
-        r, left, right = linalg.rank_factorization(F3, A)
-        if r == 0:
-            assert linalg.mat_is_zero(F3, A)
-            continue
-        assert linalg.mat_mul(F3, left, right) == A
-        assert linalg.mat_rank(F3, A) == r
 
 
 def test_rank_over_extension_field(F2):

@@ -97,22 +97,24 @@ def test_exhaustive_cc_linearized(F3):
 
 
 def test_normal_scan_counts(F2):
-    gf4 = cz.extension_field(F2, 2, seed=0)
-    assert cz.exhaustive_normal_scan(gf4) == 2
-    gf2 = cz.extension_field(F2, 1, seed=0)
-    assert cz.exhaustive_normal_scan(gf2) == 1
+    for degree, count in ((2, 2), (1, 1)):
+        ctx = cz.extension_field(F2, degree, seed=0)
+        assert sum(cz.is_normal(a) for a in ctx.all_elements()) == count
+        assert sum(cz.normal_by_gcd(a) for a in ctx.all_elements()) == count
 
 
 def test_normal_scan_nonempty_grid():
-    for p, m in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
-        ctx = cz.extension_field(cz.prime_field(p), m, seed=0)
-        assert cz.exhaustive_normal_scan(ctx) > 0
-
-
-def test_normal_scan_cap(F2):
-    big = cz.extension_field(F2, 20, seed=0)
-    with pytest.raises(ValueError):
-        cz.exhaustive_normal_scan(big)
+    # the gcd route against the rank route on every element, a tower included
+    gf4 = cz.parse_field_spec("2^2:1,1,1")
+    for ctx in (
+        cz.extension_field(cz.prime_field(2), 4, seed=0),
+        cz.extension_field(cz.prime_field(3), 3, seed=0),
+        cz.extension_field(cz.prime_field(5), 2, seed=0),
+        cz.extension_field(gf4, 2, seed=0),
+    ):
+        verdicts = [cz.is_normal(a) for a in ctx.all_elements()]
+        assert verdicts == [cz.normal_by_gcd(a) for a in ctx.all_elements()]
+        assert any(verdicts)
 
 
 # -- sweep runners -------------------------------------------------------------------
@@ -151,9 +153,11 @@ def test_sweeps_refuse_meaningless_counts():
 
 
 def test_sweep_size_cap():
-    cfg = cz.SweepConfig(fields=(3,), pairs=((4, 5),), size_cap=1 << 10)
-    with pytest.raises(ValueError):
+    # GF(3^20) has about 3.5e9 elements, above the sweeps' cap of 2^24
+    cfg = cz.SweepConfig(fields=(3,), pairs=((4, 5),))
+    with pytest.raises(ValueError, match="exceeds the size cap"):
         list(cfg.instances())
+    assert len(list(cz.SweepConfig(fields=(3,), pairs=((3, 5),)).instances())) == 1
 
 
 def test_brute_admissible():
