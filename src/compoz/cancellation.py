@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg
-from .diamond import MONOMIAL, PhiPoly
+from .diamond import MONOMIAL, PhiPoly, _check_root_polys
 from .ff import (
     DEFAULT_SEED,
     _powers,
@@ -207,6 +207,7 @@ def sample_cc_phi_matrices(f, g, count, *, rng=None, seed=DEFAULT_SEED):
     extension-degree check on both sides.  The quotient rings of f and g
     are built once and shared by all candidates.
     """
+    _check_root_polys(f, g)
     m, n = f.degree, g.degree
     if math.gcd(m, n) != 1:
         raise ValueError("sampling needs coprime degrees")

@@ -77,14 +77,27 @@ def _load_phi(ctx, value):
     return PhiPoly.from_text(ctx, _read_arg(value))
 
 
-def _check_size_cap(base, degree, what):
-    """Refuse GF(q^degree) over base past MAX_FIELD_ORDER; what names the bound."""
+def _check_size_cap(q, degree, what):
+    """Refuse GF(q^degree) past MAX_FIELD_ORDER; what names the bound."""
     cap_bits = MAX_FIELD_ORDER.bit_length() - 1
     # q >= 2, so degree > cap_bits exceeds the cap without forming q^degree
-    if degree > cap_bits or base.order**degree > MAX_FIELD_ORDER:
+    if degree > cap_bits or q**degree > MAX_FIELD_ORDER:
         raise ValueError(
-            f"GF({base.order}^{degree}) exceeds the field size cap 2^{cap_bits} on {what}"
+            f"GF({q}^{degree}) exceeds the field size cap 2^{cap_bits} on {what}"
         )
+
+
+def _parse_field(spec):
+    """parse_field_spec, refusing GF(p^e) past the size cap before its modulus
+    is tested; a malformed spec is left for parse_field_spec to reject."""
+    p_text, caret, e_text = spec.partition(":")[0].partition("^")
+    try:
+        p, e = int(p_text), int(e_text) if caret else 1
+    except ValueError:
+        p = e = 0
+    if p >= 2 and e >= 1:
+        _check_size_cap(p, e, "p^e, the field spec")
+    return parse_field_spec(spec)
 
 
 def _load_fg(args):
@@ -93,12 +106,12 @@ def _load_fg(args):
     The size cap is checked as soon as f and g are known, before any
     extension field is built.
     """
-    base = parse_field_spec(args.q)
+    base = _parse_field(args.q)
     f = _load_poly(base, args.f)
     g = _load_poly(base, args.g)
     if f.degree and g.degree:
         _check_size_cap(
-            base,
+            base.order,
             math.lcm(f.degree, g.degree),
             "q^lcm(m, n), f of degree m and g of degree n",
         )
@@ -217,26 +230,21 @@ def _cmd_sample_phi(args):
 
 
 def _cmd_normal(args):
-    base = parse_field_spec(args.q)
+    base = _parse_field(args.q)
     mod = _load_poly(base, args.mod)
     if mod.degree:
-        _check_size_cap(base, mod.degree, "q^deg(mod)")
+        _check_size_cap(base.order, mod.degree, "q^deg(mod)")
     ctx = base.extension(mod)
     if args.random:
         elem = random_normal_element(ctx, seed=args.seed)
-        doc = {
-            "schema": SCHEMA,
-            "kind": "normal",
-            "field": f"{base.order}^{ctx.degree}",
-            "element": element_to_text(elem),
-            "normal": True,
-        }
-        _emit(args, doc, [element_to_text(elem)])
-        return 0
-    if args.element is None:
+        verdict = True
+        lines = [element_to_text(elem)]
+    elif args.element is None:
         raise ValueError("provide --element or --random")
-    elem = element_from_text(ctx, args.element)
-    verdict = is_normal(elem)
+    else:
+        elem = element_from_text(ctx, args.element)
+        verdict = is_normal(elem)
+        lines = [f"normal: {str(verdict).lower()}"]
     doc = {
         "schema": SCHEMA,
         "kind": "normal",
@@ -244,18 +252,18 @@ def _cmd_normal(args):
         "element": element_to_text(elem),
         "normal": verdict,
     }
-    _emit(args, doc, [f"normal: {str(verdict).lower()}"])
+    _emit(args, doc, lines)
     return 0 if verdict else 1
 
 
 def _cmd_staircase(args):
-    base = parse_field_spec(args.q)
+    base = _parse_field(args.q)
     phi = _load_phi(base, args.phi)
     if phi.basis != LINEARIZED:
         raise ValueError("staircase needs a linearized-basis phi")
     st = staircase(phi)  # rejects non-coprime dimensions before any field is built
     m, n = phi.m, phi.n
-    _check_size_cap(base, m * n, "q^(m n), phi of shape m x n")
+    _check_size_cap(base.order, m * n, "q^(m n), phi of shape m x n")
     ctx_m = extension_field(base, m, seed=args.seed)
     ctx_n = extension_field(base, n, seed=args.seed)
     rng = random.Random(args.seed)
@@ -286,7 +294,7 @@ def _cmd_twisted(args):
     try:
         q = int(args.q)
     except ValueError:
-        q = parse_field_spec(args.q).order
+        q = _parse_field(args.q).order
     sign = {"plus": "+", "minus": "-", "+": "+", "-": "-"}[args.sign]
     params = TwistedParams(q=q, m=args.m, n=args.n, k=args.k, l=args.l, sign=sign)
     verdict = twisted_normal_predicate(params)

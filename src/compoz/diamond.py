@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 from typing import NamedTuple
 
 from .ff import (
@@ -62,6 +61,12 @@ class PhiPoly(NamedTuple):
 
     @classmethod
     def build(cls, ctx, rows, basis=MONOMIAL):
+        """A phi from entries that are elements of ctx, ints or coordinate lists.
+
+        An int entry is an integer mod p, also over an extension base, not a
+        raw value: rebuilding from raw rows such as phi.rows maps each raw to
+        its residue mod p.  To keep raws, use _from_raw or _replace(rows=...).
+        """
         return cls._from_raw(
             ctx, tuple(tuple(ctx._coerce(c) for c in row) for row in rows), basis
         )
@@ -190,13 +195,7 @@ class RootPair:
 
     @classmethod
     def build(cls, f, g, *, seed=DEFAULT_SEED):
-        if f.ctx != g.ctx:
-            raise ContextMismatchError("f and g must share a coefficient field")
-        for poly, name in ((f, "f"), (g, "g")):
-            if poly.degree is None or poly.degree < 1 or not poly.is_monic:
-                raise ValueError(f"{name} must be monic of degree >= 1")
-            if not is_irreducible(poly):
-                raise ValueError(f"{name} is reducible")
+        _check_root_polys(f, g)
         m, n = f.degree, g.degree
         ctx = extension_field(f.ctx, m // math.gcd(m, n) * n, seed=seed)
         alpha = find_root(f, ctx, seed=seed)
@@ -210,6 +209,26 @@ class RootPair:
             raise ContextMismatchError("roots must live in one context")
         return cls(minimal_polynomial(alpha), minimal_polynomial(beta),
                    alpha.ctx, alpha, beta)
+
+
+def _check_root_polys(f, g):
+    """Refuse f and g unless both are monic irreducible over one field."""
+    if f.ctx != g.ctx:
+        raise ContextMismatchError("f and g must share a coefficient field")
+    for poly, name in ((f, "f"), (g, "g")):
+        if poly.degree is None or poly.degree < 1 or not poly.is_monic:
+            raise ValueError(f"{name} must be monic of degree >= 1")
+        if not is_irreducible(poly):
+            raise ValueError(f"{name} is reducible")
+
+
+def _pair_for(f, g, pair, seed=DEFAULT_SEED):
+    """pair, checked to hold roots of f and g, or else a new pair of f and g."""
+    if pair is None:
+        return RootPair.build(f, g, seed=seed)
+    if pair.f != f or pair.g != g:
+        raise ValueError("pair does not hold roots of f and g")
+    return pair
 
 
 class DiamondSpec(NamedTuple):
@@ -312,7 +331,7 @@ class BoundDiamond:
         return self._composed
 
 
-def composed_product(f, g, spec, *, pair=None, seed=DEFAULT_SEED):
+def composed_product(f, g, spec, *, pair=None):
     """The polynomial whose roots are all diamond values of roots of f and g.
 
     Monic of degree deg(f) * deg(g) with coefficients in the base field; the
@@ -320,9 +339,7 @@ def composed_product(f, g, spec, *, pair=None, seed=DEFAULT_SEED):
     BoundDiamond.composed(): a product of powers of minimal polynomials, one
     per orbit of the value grid.
     """
-    if pair is None:
-        pair = RootPair.build(f, g, seed=seed)
-    return spec.bind(pair).composed()
+    return spec.bind(_pair_for(f, g, pair)).composed()
 
 
 class FactorEntry(NamedTuple):
@@ -386,9 +403,7 @@ def factor_report(f, g, spec, *, pair=None, seed=DEFAULT_SEED):
     minimal polynomials; a failed certificate or a mismatch is a hard error
     (RuntimeError).
     """
-    if pair is None:
-        pair = RootPair.build(f, g, seed=seed)
-    return _factor_report(spec.bind(pair))
+    return _factor_report(spec.bind(_pair_for(f, g, pair, seed)))
 
 
 def _factor_report(bd):
@@ -439,8 +454,7 @@ def intermediate_factorization(f, g, spec, k, l, *, pair=None, seed=DEFAULT_SEED
     projected, and the rest follow by applying the q-power map to its
     coefficients.
     """
-    if pair is None:
-        pair = RootPair.build(f, g, seed=seed)
+    pair = _pair_for(f, g, pair, seed)
     m, n = pair.m, pair.n
     if math.gcd(m, n) != 1:
         raise ValueError("intermediate factorization needs coprime degrees")
@@ -452,7 +466,7 @@ def intermediate_factorization(f, g, spec, k, l, *, pair=None, seed=DEFAULT_SEED
     if k * l == 1:
         return [bd.composed()]
     ctx_kl = extension_field(pair.base, k * l, seed=seed)
-    emb = _cached_embedding(ctx_kl, pair.ctx, seed)
+    emb = Embedding.find(ctx_kl, pair.ctx, seed=seed)
     # cell (t mod m, t mod n) holds gamma^(q^t), so factor t < k*l collects
     # the cells with t = mu (mod k) and t = nu (mod l); pair.ctx may be larger
     # than GF(q^(m n)), so the orbit length is m*n, not its degree
@@ -467,8 +481,3 @@ def intermediate_factorization(f, g, spec, k, l, *, pair=None, seed=DEFAULT_SEED
         factors[t % k * l + t % l] = h
     return factors
 
-
-@lru_cache(maxsize=128)
-def _cached_embedding(small, big, seed):
-    # contexts compare structurally, so rebuilt-but-identical towers hit
-    return Embedding.find(small, big, seed=seed)

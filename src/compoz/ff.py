@@ -999,9 +999,9 @@ def prime_field(p):
     return FieldContext(p)
 
 
-def extension_field(base, degree, *, rng=None, seed=DEFAULT_SEED):
+def extension_field(base, degree, *, seed=DEFAULT_SEED):
     """Extension of the given degree with a seeded random irreducible modulus."""
-    return base.extension(random_irreducible(base, degree, rng=rng, seed=seed))
+    return base.extension(random_irreducible(base, degree, seed=seed))
 
 
 # ---------------------------------------------------------------------------

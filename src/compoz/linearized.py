@@ -8,6 +8,11 @@ governed by the staircase polynomial e with e_k = c_(k mod m, k mod n).
 The staircase sum starts at k = 0.  The product case phi = XY forces this:
 its staircase must be the constant 1 (alpha*beta is normal for normal
 inputs), which only the k = 0 term can supply.
+
+The twisted binomial alpha^(q^k) beta +- alpha beta^(q^l), whose parameters
+are a TwistedParams, has a closed-form normality predicate.  The shifted
+sum alpha + beta + d takes its shift d as an argument of
+shifted_sum_is_normal.
 """
 
 from __future__ import annotations
@@ -181,14 +186,10 @@ class _TwistedFields(NamedTuple):
     k: int
     l: int
     sign: str = "+"
-    d: int = 0
 
 
 class TwistedParams(_TwistedFields):
-    """Parameters of the binomial product alpha^(q^k) beta +- alpha beta^(q^l).
-
-    d is the shift constant of the companion additive family alpha+beta+d.
-    """
+    """Parameters of the binomial product alpha^(q^k) beta +- alpha beta^(q^l)."""
 
     __slots__ = ()
 

@@ -17,7 +17,7 @@ import random
 from typing import NamedTuple
 
 from .cancellation import ROUTE_DIRECT, ROUTES, run_routes
-from .diamond import MONOMIAL, SCHEMA, DiamondSpec, PhiPoly, RootPair, _factor_report
+from .diamond import MONOMIAL, SCHEMA, DiamondSpec, PhiPoly, _factor_report, _pair_for
 from .ff import (
     DEFAULT_SEED,
     Polynomial,
@@ -126,14 +126,13 @@ def _grid_from_scratch(spec, pair):
     return vals
 
 
-def exhaustive_cc(f, g, spec, *, pair=None, seed=DEFAULT_SEED):
+def exhaustive_cc(f, g, spec, *, pair=None):
     """Ground-truth cancellation verdict straight from the definition.
 
     Recomputes every diamond value and checks both implications for every
     conjugate pair and every shift k that is a multiple of gcd(m, n).
     """
-    if pair is None:
-        pair = RootPair.build(f, g, seed=seed)
+    pair = _pair_for(f, g, pair)
     m, n = pair.m, pair.n
     gmn = math.gcd(m, n)
     L = m // gmn * n
@@ -187,17 +186,23 @@ class SweepConfig(NamedTuple):
     seed: int = DEFAULT_SEED
 
     def instances(self):
+        """(rng, pair, head) per instance: the instance's seeded rng, after
+        drawing f and g from it, the root pair of f and g, and the report
+        head q, m, n, f, g."""
         for field_spec in self.fields:
             base = parse_field_spec(str(field_spec))
+            q = base.order
             for m, n in self.pairs:
-                if base.order ** math.lcm(m, n) > _SWEEP_SIZE_CAP:
+                if q ** math.lcm(m, n) > _SWEEP_SIZE_CAP:
                     raise ValueError(
-                        f"instance q={base.order}, (m, n)=({m}, {n}) exceeds the size cap"
+                        f"instance q={q}, (m, n)=({m}, {n}) exceeds the size cap"
                     )
-                yield base, m, n
-
-    def instance_rng(self, base, m, n):
-        return random.Random(f"{self.seed}:{base.order}:{m}:{n}")
+                rng = random.Random(f"{self.seed}:{q}:{m}:{n}")
+                f = random_irreducible(base, m, rng=rng)
+                g = random_irreducible(base, n, rng=rng)
+                pair = _pair_for(f, g, None, self.seed)
+                head = {"q": q, "m": m, "n": n, "f": poly_to_text(f), "g": poly_to_text(g)}
+                yield rng, pair, head
 
 
 def run_route_agreement_sweep(config):
@@ -213,13 +218,10 @@ def run_route_agreement_sweep(config):
         raise ValueError("route agreement sweep needs phi_count >= 1 and table_count = 0")
     instances = []
     total = disagreements = holds_total = 0
-    for base, m, n in config.instances():
+    for rng, pair, head in config.instances():
+        base, f, g, m, n = pair.base, pair.f, pair.g, pair.m, pair.n
         if math.gcd(m, n) != 1:
             raise ValueError("route agreement sweep needs coprime degree pairs")
-        rng = config.instance_rng(base, m, n)
-        f = random_irreducible(base, m, rng=rng)
-        g = random_irreducible(base, n, rng=rng)
-        pair = RootPair.build(f, g, seed=config.seed)
         bad = []
         holds_count = 0
         for trial in range(config.phi_count):
@@ -239,16 +241,7 @@ def run_route_agreement_sweep(config):
         holds_total += holds_count
         disagreements += len(bad)
         instances.append(
-            {
-                "q": base.order,
-                "m": m,
-                "n": n,
-                "f": poly_to_text(f),
-                "g": poly_to_text(g),
-                "trials": config.phi_count,
-                "holds": holds_count,
-                "disagreements": bad,
-            }
+            head | {"trials": config.phi_count, "holds": holds_count, "disagreements": bad}
         )
     return {
         "schema": SCHEMA,
@@ -275,11 +268,8 @@ def run_factor_structure_sweep(config):
         raise ValueError("factor structure sweep needs counts >= 0 and at least one diamond")
     instances = []
     violations_total = 0
-    for base, m, n in config.instances():
-        rng = config.instance_rng(base, m, n)
-        f = random_irreducible(base, m, rng=rng)
-        g = random_irreducible(base, n, rng=rng)
-        pair = RootPair.build(f, g, seed=config.seed)
+    for rng, pair, head in config.instances():
+        base, f, g, m, n = pair.base, pair.f, pair.g, pair.m, pair.n
         L = math.lcm(m, n)
         gmn = math.gcd(m, n)
         nu_distinct = valuations_all_distinct(m, n)
@@ -315,17 +305,7 @@ def run_factor_structure_sweep(config):
             if nu_distinct and report.cc_holds != report.all_factors_max_degree:
                 violations.append({"kind": "valuation-equivalence", "spec": idx})
         violations_total += len(violations)
-        instances.append(
-            {
-                "q": base.order,
-                "m": m,
-                "n": n,
-                "f": poly_to_text(f),
-                "g": poly_to_text(g),
-                "diamonds": len(specs),
-                "violations": violations,
-            }
-        )
+        instances.append(head | {"diamonds": len(specs), "violations": violations})
     return {
         "schema": SCHEMA,
         "kind": "factor-structure-sweep",

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compoz import cli, ff
 from compoz.cli import MAX_SAMPLE_COUNT, main
@@ -295,6 +298,47 @@ def test_normal_and_sample_phi_refuse_fields_past_the_cap(capsys, monkeypatch):
     assert code == 2 and out == "" and "size cap" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--f", "0", "--g", "1,2,0,1"], "error: f must be monic of degree >= 1\n"),
+        (["--f", "1,0,1", "--g", "0"], "error: g must be monic of degree >= 1\n"),
+        (["--f", "2,0,2", "--g", "1,2,0,1"], "error: f must be monic of degree >= 1\n"),
+        (["--f", "2,0,1", "--g", "1,2,0,1"], "error: f is reducible\n"),
+    ],
+)
+def test_sample_phi_refuses_what_root_pairs_refuse(capsys, flags, message):
+    # the same check as RootPair.build, before any degree is read
+    assert run(capsys, "sample-phi", "--q", "3", *flags, "--count", "1") == (2, "", message)
+
+
+# x^300 over GF(2) is reducible, but 2^300 is past the cap, so it is refused
+# before its modulus is tested
+X300 = "0," * 300 + "1"
+BIG_SPEC_ARGV = {
+    "compose": ["--f", "1,1", "--g", "1,1,1", "--phi", "x"],
+    "check-cc": ["--f", "1,1", "--g", "1,1,1", "--phi", "x"],
+    "factor": ["--f", "1,1", "--g", "1,1,1", "--phi", "x"],
+    "sample-phi": ["--f", "1,1", "--g", "1,1,1", "--count", "1"],
+    "normal": ["--mod", "1,1", "--random"],
+    "staircase": ["--phi", "x"],
+    "twisted": ["--m", "3", "--n", "5", "--k", "1", "--l", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BIG_SPEC_ARGV))
+def test_field_spec_past_the_cap_is_refused_before_its_modulus_is_tested(
+    capsys, monkeypatch, command
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("tested the modulus of a field past the size cap")
+
+    monkeypatch.setattr(ff, "_rabin", unreachable)
+    code, out, err = run(capsys, command, "--q", f"2^300:{X300}", *BIG_SPEC_ARGV[command])
+    assert (code, out) == (2, "")
+    assert err == "error: GF(2^300) exceeds the field size cap 2^256 on p^e, the field spec\n"
+
+
 def test_element_text_via_extension_field(capsys):
     # base GF(4), modulus X^2 + X + y: a two-level tower through the CLI
     code, out, _ = run(
@@ -316,3 +360,97 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+# argv token pools for the fuzz: every command, specs of GF(2), GF(3), GF(4)
+# and GF(9) with polynomials of degree <= 4 (and 0 and 1) and phis over each,
+# and bad specs, malformed polynomials and ragged or mis-headed phis;
+# each good token comes up five times as often as each bad one
+FUZZ_FIELDS = {
+    "2": (
+        ("1,1", "1,1,1", "1,1,0,1", "1,1,0,0,1", "1,0,1"),
+        ("2 2 3 monomial;0 1 1;1 0 0", "2 2 3 linearized;0 1 0;1 0 0",
+         "2 1 3 monomial;1 1 0", "2 2 2 monomial;1 1;0 1"),
+    ),
+    "3": (
+        ("2,1", "1,0,1", "1,2,0,1", "2,0,1,0,1", "2,0,1"),
+        (PHI_CC, "3 2 3 linearized;1 0 0;0 0 0", "3 1 3 monomial;1 1 0",
+         "3 2 2 monomial;0 2;1 0"),
+    ),
+    "2^2:1,1,1": (
+        ("0/1,1/0", "1/1,1/0", "0/1,1/0,1/0", "1/0,1/0,0/0,1/0"),
+        ("4 1 2 monomial;1:0 0:1", "4 2 1 linearized;0:1;1:0",
+         "4 2 3 monomial;0:1 1:0 0:0;1:0 0:0 1:1"),
+    ),
+    "3^2:2,2,1": (
+        ("0/1,1/0", "1/1,1/0", "0/1,1/0,1/0", "1/0,0/0,1/0"),
+        ("9 2 1 linearized;1:2;0:1", "9 1 2 monomial;0:1 1:0",
+         "9 2 3 monomial;0:1 1:0 0:0;1:0 0:0 2:1"),
+    ),
+}
+FUZZ_BAD = {
+    "spec": ("4", "2^2:1,1", "3^2", "x", ""),
+    "poly": ("1,,1", "1,a", "", "1:0,1"),
+    "phi": ("2 2 2 monomial;1 0;1", "3 2 2 sideways;1 0;0 1", "5 1 1 monomial;1", "2 2 2", ""),
+}
+FUZZ_OTHER = {
+    "--element": (("0/1", "1/0", "1/1"), ("1/1/1", "1", "y")),
+    "--count": (("1", "2"), ("0", "-1", "x")),
+    "--seed": (("0", "1", "7"), ("x",)),
+    "--m": (("2", "3", "4", "5"), ("0", "x")),
+    "--n": (("2", "3", "4", "5"), ("0", "x")),
+    "--k": (("0", "1", "2"), ("-1",)),
+    "--l": (("0", "1", "2"), ("-1",)),
+    "--route": (("all", "direct", "oracle", "coeffs", "matrix"), ("none",)),
+    "--sign": (("plus", "minus"), ("*",)),
+    "--format": (("text", "structured"), ("xml",)),
+}
+FUZZ_COMMANDS = {
+    "compose": ("--q", "--f", "--g", "--phi"),
+    "check-cc": ("--q", "--f", "--g", "--phi", "--route"),
+    "factor": ("--q", "--f", "--g", "--phi"),
+    "sample-phi": ("--q", "--f", "--g", "--count"),
+    "normal": ("--q", "--mod", "--element"),
+    "staircase": ("--q", "--phi"),
+    "twisted": ("--q", "--m", "--n", "--k", "--l", "--sign"),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    def pick(good, bad):
+        return draw(st.sampled_from(list(good) * 5 + list(bad)))
+
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    spec = pick(FUZZ_FIELDS, FUZZ_BAD["spec"])
+    polys, phis = FUZZ_FIELDS.get(spec, FUZZ_FIELDS["2"])
+    # now and then a flag goes missing, or one of another command rides along
+    flags = list(FUZZ_COMMANDS[command])
+    if draw(st.integers(0, 7)) == 7:
+        flags.remove(draw(st.sampled_from(flags)))
+    if draw(st.integers(0, 3)) == 3:
+        flags.append(draw(st.sampled_from(sorted(FUZZ_OTHER))))
+    argv = [command]
+    for flag in flags:
+        if flag == "--q":
+            value = spec
+        elif flag in ("--f", "--g", "--mod"):
+            value = pick(polys + ("0", "1"), FUZZ_BAD["poly"])
+        elif flag == "--phi":
+            value = pick(phis, FUZZ_BAD["phi"])
+        elif command == "normal" and flag == "--element" and draw(st.booleans()):
+            argv.append("--random")
+            continue
+        else:
+            value = pick(*FUZZ_OTHER[flag])
+        argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fuzz_argv())
+def test_cli_fuzz_exits_with_a_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)

@@ -216,8 +216,33 @@ def test_root_choice_independence(F2, small):
 def test_composed_independent_of_ambient_modulus(worked):
     # a different random modulus for GF(3^12) must give the same product
     spec = cz.DiamondSpec.from_phi(worked.phi_cc)
-    alt = cz.composed_product(worked.f, worked.g, spec, seed=123)
+    alt = cz.composed_product(
+        worked.f, worked.g, spec, pair=cz.RootPair.build(worked.f, worked.g, seed=123)
+    )
     assert alt == worked.product_cc
+
+
+PAIR_TAKERS = {
+    "composed_product": lambda f, g, spec, pair: cz.composed_product(f, g, spec, pair=pair),
+    "factor_report": lambda f, g, spec, pair: cz.factor_report(f, g, spec, pair=pair),
+    "intermediate_factorization": lambda f, g, spec, pair: cz.intermediate_factorization(
+        f, g, spec, 1, 1, pair=pair
+    ),
+    "exhaustive_cc": lambda f, g, spec, pair: cz.exhaustive_cc(f, g, spec, pair=pair),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_TAKERS))
+def test_entry_points_check_the_pair_they_are_given(worked, F3, name):
+    call = PAIR_TAKERS[name]
+    spec = cz.DiamondSpec.from_phi(worked.phi_cc)
+    f2 = cz.poly_from_text(F3, "1,0,1")  # X^2 + 1
+    g2 = cz.random_irreducible(F3, 5, seed=0)
+    for f, g in ((f2, g2), (worked.f, g2), (f2, worked.g), (worked.g, worked.f)):
+        with pytest.raises(ValueError, match="pair does not hold roots of f and g"):
+            call(f, g, spec, worked.pair)
+    # the pair of f and g itself is taken, and gives what a fresh pair gives
+    assert call(worked.f, worked.g, spec, worked.pair) == call(worked.f, worked.g, spec, None)
 
 
 def _grid_expansion(bd):

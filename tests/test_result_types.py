@@ -6,7 +6,7 @@ import pytest
 import compoz as cz
 from compoz.cancellation import run_routes
 
-TWISTED_FIELDS = ("q", "m", "n", "k", "l", "sign", "d")
+TWISTED_FIELDS = ("q", "m", "n", "k", "l", "sign")
 
 
 def test_result_type_reprs(worked):
@@ -29,10 +29,10 @@ def test_result_type_reprs(worked):
         "min_poly=Polynomial(GF(3), '1,2,1,1,0,2,1'))"
     )
     assert repr(cz.TwistedParams(3, 2, 3, 1, 0)) == (
-        "TwistedParams(q=3, m=2, n=3, k=1, l=0, sign='+', d=0)"
+        "TwistedParams(q=3, m=2, n=3, k=1, l=0, sign='+')"
     )
-    assert repr(cz.TwistedParams(q=5, m=3, n=4, k=2, l=3, sign="-", d=1)) == (
-        "TwistedParams(q=5, m=3, n=4, k=2, l=3, sign='-', d=1)"
+    assert repr(cz.TwistedParams(q=5, m=3, n=4, k=2, l=3, sign="-")) == (
+        "TwistedParams(q=5, m=3, n=4, k=2, l=3, sign='-')"
     )
 
 
@@ -57,12 +57,12 @@ def test_twisted_params_rejects_positionally_and_by_keyword(args, message):
 
 def test_result_types_are_immutable_tuples():
     params = cz.TwistedParams(3, 2, 3, 1, 0)
-    assert params == (3, 2, 3, 1, 0, "+", 0) and hash(params) == hash(tuple(params))
-    q, m, n, k, l, sign, d = params
-    assert (q, k, sign) == (3, 1, "+") and len(params) == 7
+    assert params == (3, 2, 3, 1, 0, "+") and hash(params) == hash(tuple(params))
+    q, m, n, k, l, sign = params
+    assert (q, k, sign) == (3, 1, "+") and len(params) == 6
     with pytest.raises(AttributeError):
         params.q = 5
-    assert params._replace(k=0) == (3, 2, 3, 0, 0, "+", 0)
+    assert params._replace(k=0) == (3, 2, 3, 0, 0, "+")
     with pytest.raises(ValueError, match="twists must satisfy"):
         params._replace(k=2)
     assert cz.CcWitness(2, "alpha", 0) == (2, "alpha", 0)

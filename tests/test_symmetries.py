@@ -2,7 +2,9 @@
 
 Swapping the roles of f and g while transposing phi, or carrying the whole
 instance to another presentation of the base field, must leave the
-composed product and every cancellation verdict unchanged.
+composed product and every cancellation verdict unchanged.  Conjugating
+every coefficient of f, g and phi by the p-power map must conjugate every
+coefficient of the product and leave every verdict unchanged.
 """
 
 import random
@@ -64,3 +66,31 @@ def test_base_field_presentation_change(m, n):
                 e.degree for e in rep.entries
             )
             assert rep.product.map_coefficients(emb, B) == rep_b.product
+
+
+@pytest.mark.parametrize("field", ["2^2:1,1,1", "3^2:2,2,1"])
+@pytest.mark.parametrize("m, n", ((2, 3), (1, 3), (2, 4), (3, 3), (3, 2)))
+def test_p_power_conjugated_coefficients(field, m, n):
+    # sigma: c -> c^p is an automorphism of GF(p^e) that commutes with the
+    # q-power map; extended to the root field it carries roots of f and g to
+    # roots of f^sigma and g^sigma, and each diamond value to the value of
+    # phi^sigma there
+    base = cz.parse_field_spec(field)
+
+    def sigma(c):
+        return c.frobenius()
+
+    rng = random.Random(f"conjugate {field} {m} {n}")
+    f = cz.random_irreducible(base, m, rng=rng)
+    g = cz.random_irreducible(base, n, rng=rng)
+    f_s, g_s = f.map_coefficients(sigma, base), g.map_coefficients(sigma, base)
+    pair, pair_s = cz.RootPair.build(f, g), cz.RootPair.build(f_s, g_s)
+    for basis in (cz.MONOMIAL, cz.LINEARIZED):
+        for _ in range(4):
+            entries = [[base.random_element(rng) for _ in range(n)] for _ in range(m)]
+            phi = cz.PhiPoly.build(base, entries, basis)
+            phi_s = cz.PhiPoly.build(base, [[sigma(c) for c in row] for row in entries], basis)
+            bd = cz.DiamondSpec.from_phi(phi).bind(pair)
+            bd_s = cz.DiamondSpec.from_phi(phi_s).bind(pair_s)
+            assert bd_s.composed() == bd.composed().map_coefficients(sigma, base)
+            assert _holds(bd_s) == _holds(bd)
