@@ -10,7 +10,6 @@ from .ff import (
     degree_over_base,
     element_from_text,
     element_to_text,
-    evaluate_in_extension,
     extension_field,
     find_root,
     is_irreducible,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg
@@ -68,12 +67,6 @@ class CcVerdict(NamedTuple):
         return doc
 
 
-@lru_cache(maxsize=256)
-def _power_basis_field(f):
-    """GF(q)[X]/(f) for a monic irreducible f, which is validated once."""
-    return f.ctx.extension(f)
-
-
 def petr_berlekamp_matrix(f):
     """Matrix of the q-power map in the basis 1, alpha, ..., alpha^(m-1).
 
@@ -81,7 +74,7 @@ def petr_berlekamp_matrix(f):
     the monic irreducible f.  Rows are tuples of raw base-field values, as
     every linalg function takes them.
     """
-    ring = _power_basis_field(f)
+    ring = f.ctx.extension(f)
     cols = _powers(ring, ring._frob(ring._gen_raw(), 1), ring.degree)
     return tuple(zip(*(ring._unpack(c) for c in cols)))
 
@@ -135,7 +128,7 @@ def cc_oracle(bd):
 def _surviving_primes(f, polys):
     """Primes p | m for which every u has u(alpha) inside GF(q^(m/p))."""
     m = f.degree
-    ring = _power_basis_field(f)
+    ring = f.ctx.extension(f)
     values = []
     for u in polys:
         d = u.degree
@@ -155,8 +148,8 @@ def verify_extension_degree(f, polys):
 
     Exactly the subfield sieve: alpha is a root of the monic irreducible f,
     and the values generate GF(q^m) iff for every prime p | m some u(alpha)
-    moves under the q^(m/p)-power map.  GF(q)[X]/(f) is a FieldContext,
-    built and validated once per f, whose elements are the values u(alpha):
+    moves under the q^(m/p)-power map.  GF(q)[X]/(f) is the field that f's
+    Rabin test built and kept on f, whose elements are the values u(alpha):
     u is its own coordinate vector there, and the test of a prime p is
     whether the Frobenius power _frob(u, m/p) fixes u.  The sieve exits as
     soon as every prime is ruled out, so on average only the first couple
@@ -204,8 +197,7 @@ def sample_cc_phi_matrices(f, g, count, *, rng=None, seed=DEFAULT_SEED):
     """Rejection-sample phi matrices whose products cancel conjugates.
 
     Draws uniform m x n coefficient matrices and keeps those passing the
-    extension-degree check on both sides.  The quotient rings of f and g
-    are built once and shared by all candidates.
+    extension-degree check on both sides, in the fields kept on f and g.
     """
     _check_root_polys(f, g)
     m, n = f.degree, g.degree

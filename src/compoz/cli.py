@@ -291,6 +291,12 @@ def _cmd_staircase(args):
 
 
 def _cmd_twisted(args):
+    # a plain-integer q past the cap is refused from its length, before int()
+    digits = args.q.strip().removeprefix("+").replace("_", "").lstrip("0")
+    if digits.isdecimal() and (
+        len(digits) > len(str(MAX_FIELD_ORDER)) or int(digits) > MAX_FIELD_ORDER
+    ):
+        raise ValueError(f"q exceeds the field size cap 2^{MAX_FIELD_ORDER.bit_length() - 1}")
     try:
         q = int(args.q)
     except ValueError:

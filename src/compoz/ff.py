@@ -40,9 +40,9 @@ Polynomial._from_raw, never through the coercing constructors.
 
 Arithmetic in a quotient ring K[X]/(h) is always done in the context
 FieldContext(p, lower=K, modulus=h) on raw values as above, whether h is
-irreducible or not: Polynomial.pow_mod, the Rabin test, root splitting and
-the Frobenius matrices and subfield sieve of the cancellation routes all
-run on it.
+irreducible or not.  The ring that the Rabin test of an irreducible f
+builds is kept on f as the field K[X]/(f): extension(f) returns it and its
+modulus_poly() carries it, so no modulus is built or tested twice.
 
 Public code works with the FieldElement and Polynomial wrappers; the raw
 layer keeps the inner loops allocation-light.  Polynomial coefficients are
@@ -72,7 +72,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul as _mul_op
 
-from .linalg import LinearSolver
+from .linalg import rref
 
 DEFAULT_SEED = 0
 
@@ -342,7 +342,8 @@ class FieldContext:
     prime_field() and FieldContext.extension() to build them.  A context
     built directly may have a reducible monic modulus: it is then the
     quotient ring lower[X]/(modulus), whose raw arithmetic works except
-    that _inv fails on non-units.
+    that _inv fails on non-units.  Only a ring whose modulus passed the
+    Rabin test has _is_field set.
     """
 
     __slots__ = (
@@ -355,6 +356,7 @@ class FieldContext:
         "depth",
         "_hash",
         "_frob_tables",
+        "_is_field",
         # packed layout of an extension (see the module docstring); the
         # constants from _low on are the depth-1 product kernel's
         "_stride",
@@ -377,6 +379,7 @@ class FieldContext:
         self.modulus = modulus
         self._hash = hash((p, modulus, lower))
         self._frob_tables = {}
+        self._is_field = lower is None
         if lower is None:
             self.degree = 1
             self.order = p
@@ -660,9 +663,13 @@ class FieldContext:
         return FieldElement._wrap(self, self._gen_raw())
 
     def modulus_poly(self):
+        """The modulus over lower; a field's carries the field (see _rabin)."""
         if self.lower is None:
             return None
-        return Polynomial._wrap(self.lower, self.modulus)
+        f = Polynomial._wrap(self.lower, self.modulus)
+        if self._is_field:
+            f._field = self
+        return f
 
     def from_base(self, a):
         if self.lower is None:
@@ -683,9 +690,9 @@ class FieldContext:
     def extension(self, modulus):
         """Extend by a monic irreducible modulus over this field.
 
-        The result is FieldContext(p, lower=self, modulus) at any depth, so
-        its lower context is this field and its Frobenius fixes this field.
-        A modulus already tested keeps its verdict, so checking it is free.
+        The result is the ring FieldContext(p, lower=self, modulus) that the
+        modulus' Rabin test built and kept on it, so its Frobenius fixes this
+        field and a tested modulus returns the same object on every call.
         """
         f = modulus if isinstance(modulus, Polynomial) else Polynomial(self, modulus)
         if f.ctx != self:
@@ -695,9 +702,9 @@ class FieldContext:
             raise ValueError("modulus must have degree >= 1")
         if not f.is_monic:
             raise ValueError("modulus must be monic")
-        if d > 1 and not is_irreducible(f):
+        if not is_irreducible(f):
             raise ValueError("modulus is reducible")
-        return FieldContext(self.p, lower=self, modulus=f.coeffs)
+        return f._field
 
 
 class FieldElement:
@@ -809,11 +816,11 @@ class FieldElement:
 class Polynomial:
     """Dense univariate polynomial over a FieldContext.
 
-    _irreducible, unset until is_irreducible runs on the polynomial, holds
-    that test's verdict.
+    _field, unset until the polynomial's Rabin test runs, holds the field
+    ctx[X]/(self) that the test built, or False.
     """
 
-    __slots__ = ("ctx", "coeffs", "_irreducible")
+    __slots__ = ("ctx", "coeffs", "_field")
 
     def __init__(self, ctx, coeffs=()):
         self.ctx = ctx
@@ -969,9 +976,10 @@ class Polynomial:
         return Polynomial._from_raw(K, ring._unpack(ring._pow(a, e)))
 
     def evaluate(self, x):
-        if not isinstance(x, FieldElement) or x.ctx != self.ctx:
-            raise ContextMismatchError("evaluation point must be in the same context")
-        return FieldElement._wrap(self.ctx, _peval(self.ctx, self.coeffs, x.raw))
+        """self(x), for x in ctx or in an extension one level above it."""
+        if not isinstance(x, FieldElement) or self.ctx not in (x.ctx, x.ctx.lower):
+            raise ContextMismatchError("evaluation point is not in ctx or one level above it")
+        return FieldElement._wrap(x.ctx, _peval(x.ctx, self.coeffs, x.raw))
 
     def map_coefficients(self, fn, ctx=None):
         """Apply fn to every coefficient (as FieldElement); ctx names the target."""
@@ -1045,9 +1053,7 @@ def _pminpoly(K, a, d):
     ISSAC 1999).  No conjugate of a is formed.
     """
     lo = K.lower
-    powers = [1]
-    for _ in range(2 * d - 1):
-        powers.append(K._mul(powers[-1], a))
+    powers = _powers(K, a, 2 * d)
     mask = (1 << K._stride) - 1  # coordinate 0
     seq = [x & mask for x in powers]
     # C is the connection polynomial of the L-term recurrence found so far,
@@ -1108,8 +1114,8 @@ def is_irreducible(f):
     """Rabin test: f | X^(Q^n) - X and gcd(X^(Q^(n/t)) - X, f) = 1 for primes t | n.
 
     The powers X^(Q^j) are taken in the quotient ring K[X]/(f), so over a
-    prime field the test runs on the packed kernel.  The verdict is kept on
-    f, so testing the same polynomial again builds no quotient ring.
+    prime field the test runs on the packed kernel.  The ring, the field
+    K[X]/(f) or False, is kept on f, so no polynomial is tested twice.
     """
     if not isinstance(f, Polynomial):
         raise TypeError("expected a Polynomial")
@@ -1118,16 +1124,14 @@ def is_irreducible(f):
         raise ValueError("irreducibility is defined for degree >= 1")
     if not f.is_monic:
         raise ValueError("irreducibility test requires a monic polynomial")
-    if n == 1:
-        return True
-    verdict = getattr(f, "_irreducible", None)
-    if verdict is None:
-        verdict = f._irreducible = _rabin(f)
-    return verdict
+    field = getattr(f, "_field", None)
+    if field is None:
+        field = f._field = _rabin(f)
+    return field is not False
 
 
 def _rabin(f, sieve=0):
-    """is_irreducible for a monic f of degree n >= 2, without the memo.
+    """K[X]/(f), or False if f is reducible: is_irreducible without the memo.
 
     The gcd test also runs at every j <= sieve, which rejects an f with a
     factor of degree <= sieve early (Ben-Or) and changes no verdict.
@@ -1145,14 +1149,15 @@ def _rabin(f, sieve=0):
                 ring._inv(ring._sub(w, x))
             except ZeroDivisionError:
                 return False
-    return w == x
+    ring._is_field = w == x
+    return ring if ring._is_field else False
 
 
 def random_irreducible(ctx, degree, *, rng=None, seed=DEFAULT_SEED):
     """Seeded rejection sampling of a monic irreducible of the given degree.
 
     Each candidate runs _rabin with a sieve of min(6, degree / 2) steps,
-    which rejects most reducible ones early; the verdict is kept on f.
+    which rejects most reducible ones early; the field it builds is kept on f.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -1162,19 +1167,9 @@ def random_irreducible(ctx, degree, *, rng=None, seed=DEFAULT_SEED):
     while True:
         coeffs = [ctx._random_raw(rng) for _ in range(degree)] + [1]
         f = Polynomial._wrap(ctx, tuple(coeffs))
-        if degree == 1:
+        f._field = _rabin(f, sieve)
+        if f._field:
             return f
-        f._irreducible = _rabin(f, sieve)
-        if f._irreducible:
-            return f
-
-
-def evaluate_in_extension(f, x):
-    """Evaluate f, defined over the base of x's context, at x."""
-    ext = x.ctx
-    if ext.lower is None or ext.lower != f.ctx:
-        raise ContextMismatchError("point must lie in an extension of the coefficient field")
-    return FieldElement._wrap(ext, _peval(ext, f.coeffs, x.raw))
 
 
 def _split_root(K, f, rng):
@@ -1246,10 +1241,10 @@ class Embedding:
 
     Determined by the image of the small field's generator, which must be a
     root of the small modulus inside the big field.  project() inverts the
-    map and raises ValueError on elements outside the image.
+    map by row reduction and raises ValueError on elements outside the image.
     """
 
-    __slots__ = ("small", "big", "root", "_pows", "_solver")
+    __slots__ = ("small", "big", "root", "_pows")
 
     def __init__(self, small, big, root):
         if small.lower is None or big.lower is None or small.lower != big.lower:
@@ -1258,13 +1253,12 @@ class Embedding:
             raise ValueError("small degree does not divide big degree")
         if not isinstance(root, FieldElement) or root.ctx != big:
             raise ContextMismatchError("root must be an element of the big field")
-        if not evaluate_in_extension(small.modulus_poly(), root).is_zero:
+        if not small.modulus_poly().evaluate(root).is_zero:
             raise ValueError("root does not satisfy the subfield modulus")
         self.small = small
         self.big = big
         self.root = root
         self._pows = tuple(_powers(big, root.raw, small.degree))
-        self._solver = None  # built by the first project(); many callers only embed
 
     @classmethod
     def find(cls, small, big, *, seed=DEFAULT_SEED):
@@ -1284,13 +1278,13 @@ class Embedding:
     def project(self, b):
         if not isinstance(b, FieldElement) or b.ctx != self.big:
             raise ContextMismatchError("element is not in the big field")
-        big = self.big
-        if self._solver is None:
-            self._solver = LinearSolver(self.small.lower, [big._unpack(w) for w in self._pows])
-        coords = self._solver.solve(big._unpack(b.raw))
-        if coords is None:
+        # b is in the image iff its column takes no pivot; it then holds b's coordinates
+        k, unpack = self.small.degree, self.big._unpack
+        cols = [unpack(w) for w in self._pows] + [unpack(b.raw)]
+        R, pivots = rref(self.small.lower, tuple(zip(*cols)))
+        if k in pivots:
             raise ValueError("element is not in the embedded subfield")
-        return FieldElement._wrap(self.small, self.small._pack(coords))
+        return FieldElement._wrap(self.small, self.small._pack([row[k] for row in R[:k]]))
 
     def project_poly(self, f):
         if f.ctx != self.big:

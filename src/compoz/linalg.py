@@ -90,48 +90,3 @@ def rref(K, A):
 def mat_rank(K, A):
     return len(rref(K, A)[1])
 
-
-class LinearSolver:
-    """Solve V x = b for a fixed full-column-rank set of columns V.
-
-    The elimination is done once at construction; each solve costs one
-    matrix-vector product.  solve() returns None when b is outside the
-    column span.
-    """
-
-    __slots__ = ("K", "nrows", "ncols", "_transform")
-
-    def __init__(self, K, columns):
-        columns = [tuple(c) for c in columns]
-        if not columns:
-            raise ValueError("need at least one column")
-        nrows = len(columns[0])
-        ncols = len(columns)
-        if any(len(c) != nrows for c in columns):
-            raise ValueError("ragged columns")
-        eye = identity(K, nrows)
-        aug = tuple(
-            tuple(columns[j][i] for j in range(ncols)) + eye[i]
-            for i in range(nrows)
-        )
-        R, pivots = rref(K, aug)
-        if tuple(range(ncols)) != pivots[:ncols] or len(pivots) < ncols:
-            raise ValueError("columns are linearly dependent")
-        self.K = K
-        self.nrows = nrows
-        self.ncols = ncols
-        self._transform = tuple(row[ncols:] for row in R)
-
-    def solve(self, b):
-        K = self.K
-        add, mul = K._add, K._mul
-        y = []
-        for row in self._transform:
-            acc = 0
-            for e, v in zip(row, b):
-                if e and v:
-                    acc = add(acc, mul(e, v))
-            y.append(acc)
-        if any(y[self.ncols :]):
-            return None
-        return tuple(y[: self.ncols])

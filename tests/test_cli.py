@@ -214,6 +214,20 @@ def test_twisted_command(capsys):
     assert code == 1
 
 
+def test_twisted_refuses_a_plain_q_past_the_cap(capsys):
+    # refused from the length of the text, before int() or the prime-power test
+    for q in (str(10**1000 + 1), "7" * 5000):
+        code, out, err = run(
+            capsys, "twisted", "--q", q, "--m", "3", "--n", "5", "--k", "1", "--l", "2"
+        )
+        assert (code, out, err) == (2, "", "error: q exceeds the field size cap 2^256\n")
+    # 3^161 < 2^256 still gets an answer
+    code, out, err = run(
+        capsys, "twisted", "--q", str(3**161), "--m", "3", "--n", "5", "--k", "1", "--l", "2"
+    )
+    assert code == 0 and out == "normal on normal pairs: true\n" and err == ""
+
+
 def test_broken_invariant_exits_3(capsys, monkeypatch):
     # routes that disagree are a fault of the library, not of the input
     run_routes = cli.run_routes

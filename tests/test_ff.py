@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import compoz as cz
 from compoz import ff
-from compoz.ff import ContextMismatchError, _check_minpoly, _pminpoly, evaluate_in_extension
+from compoz.ff import ContextMismatchError, _check_minpoly, _pminpoly
 from compoz.oracle import _grid_from_scratch
 from compoz.orbits import divisors
 from conftest import conjugate_factors_by_roots, orbit_expansion
@@ -79,6 +79,13 @@ def test_context_mismatch(F2, F3):
     gf4 = F2.extension(cz.poly_from_text(F2, "1,1,1"))
     with pytest.raises(ContextMismatchError):
         gf4.one + F2.one  # base elements need an explicit from_base
+    # a polynomial evaluates in its own field and one level above, nowhere else
+    x_plus_1 = cz.poly_from_text(F2, "1,1")
+    assert x_plus_1.evaluate(F2.one).is_zero and x_plus_1.evaluate(gf4.one).is_zero
+    tower = cz.extension_field(gf4, 2, seed=0)
+    for x in (F3.one, tower.one):
+        with pytest.raises(ContextMismatchError):
+            x_plus_1.evaluate(x)
 
 
 def test_from_base_to_base_round_trip(F3):
@@ -124,7 +131,8 @@ def test_irreducible_agrees_with_trial_division(data):
 
 
 def test_irreducibility_verdict_is_kept_on_the_polynomial(F3, monkeypatch):
-    # RootPair.build and find_root both test f; only the first builds F3[X]/(f)
+    # RootPair.build and find_root both test f, and the coeffs and matrix
+    # routes work in F3[X]/(f); only the first test builds that ring
     f = cz.poly_from_text(F3, "2,0,1,0,1")
     g = cz.poly_from_text(F3, "1,2,0,1")
     rings = []
@@ -138,6 +146,9 @@ def test_irreducibility_verdict_is_kept_on_the_polynomial(F3, monkeypatch):
     monkeypatch.setattr(ff.FieldContext, "__init__", counting_init)
     cz.RootPair.build(f, g)
     assert len(rings) == 1
+    phi = cz.PhiPoly.random(F3, 4, 3, random.Random(0))
+    cz.cc_by_coefficient_polys(f, g, phi)
+    cz.matrix_cc_test(f, g, phi)
     assert cz.is_irreducible(f) and len(rings) == 1
     square = cz.poly_from_text(F3, "1,2,1")  # (X+1)^2
     assert not cz.is_irreducible(square) and not cz.is_irreducible(square)
@@ -157,7 +168,7 @@ def test_random_irreducible_contract(F2):
 )
 def test_random_irreducible_builds_one_ring_per_candidate(base_spec, degree, seed, monkeypatch):
     # the sieve and the Rabin test share one quotient ring per candidate, and
-    # extension_field validates its modulus without building another
+    # extension_field returns the last candidate's ring as the field
     base = cz.parse_field_spec(base_spec)
     draws, rings = [], []
     random_raw, init = ff.FieldContext._random_raw, ff.FieldContext.__init__
@@ -181,8 +192,38 @@ def test_random_irreducible_builds_one_ring_per_candidate(base_spec, degree, see
     rings.clear()
     ext = cz.extension_field(base, degree, seed=seed)
     assert ext.modulus == f.coeffs
-    assert len(draws) == candidates * degree and len(rings) == candidates + 1
+    assert len(draws) == candidates * degree and len(rings) == candidates
     assert rings[-1] is ext
+
+
+def test_extension_returns_the_ring_kept_on_its_modulus(F2):
+    f = cz.random_irreducible(F2, 5, seed=0)
+    ext = F2.extension(f)
+    assert F2.extension(f) is ext
+    assert ext.modulus_poly()._field is ext and F2.extension(ext.modulus_poly()) is ext
+    # a ring built directly, even on an irreducible modulus, carries no verdict
+    ring = ff.FieldContext(2, lower=F2, modulus=f.coeffs)
+    assert not hasattr(ring.modulus_poly(), "_field")
+
+
+def test_embeddings_test_no_modulus_twice(F3, monkeypatch):
+    small = cz.extension_field(F3, 2, seed=0)
+    big = cz.extension_field(F3, 6, seed=1)
+    cubic = cz.extension_field(F3, 3, seed=2)
+    tested = []
+    rabin = ff._rabin
+
+    def counting_rabin(f, sieve=0):
+        tested.append(f)
+        return rabin(f, sieve)
+
+    monkeypatch.setattr(ff, "_rabin", counting_rabin)
+    cz.Embedding.find(small, big)
+    assert tested == []
+    # embed_pair tests only candidates for the degree-6 common field's modulus
+    a, b = cz.embed_pair(small.generator(), cubic.generator())
+    assert tested and all(f.degree == 6 for f in tested)
+    assert tested[-1].coeffs == a.ctx.modulus and b.ctx is a.ctx
 
 
 @pytest.mark.parametrize("spec, degree, muls", [("2", 12, 1), ("3", 10, 2)])
@@ -277,7 +318,7 @@ def test_find_root_smallest_conjugate(base_spec, degree, f_degree, small):
     f = cz.random_irreducible(base, f_degree, seed=1)
     roots = [cz.find_root(f, ctx, seed=s) for s in (0, 1, 7)]
     rho = roots[0]
-    assert evaluate_in_extension(f, rho).is_zero
+    assert f.evaluate(rho).is_zero
     conjugates = {rho.frobenius(k) for k in range(f_degree)}
     assert len(conjugates) == f_degree
     smallest = min(conjugates, key=lambda x: x.to_int())
@@ -286,7 +327,7 @@ def test_find_root_smallest_conjugate(base_spec, degree, f_degree, small):
         # reference: the first root in canonical order, by brute force
         scan = next(
             x for x in map(ctx.nth_element, range(ctx.order))
-            if evaluate_in_extension(f, x).is_zero
+            if f.evaluate(x).is_zero
         )
         assert rho == scan
 
@@ -297,7 +338,7 @@ def test_find_root_split_path(F3):
     assert ctx.order > 1 << 16
     f = cz.poly_from_text(F3, "2,0,1,0,1")
     rho = cz.find_root(f, ctx)
-    assert evaluate_in_extension(f, rho).is_zero
+    assert f.evaluate(rho).is_zero
     assert rho == cz.find_root(f, ctx)  # deterministic
     roots = {rho.frobenius(k) for k in range(4)}
     assert len(roots) == 4
@@ -309,7 +350,7 @@ def test_find_root_split_path_even_characteristic(F2):
     assert ctx.order > 1 << 16
     f = cz.random_irreducible(F2, 4, seed=1)
     rho = cz.find_root(f, ctx)
-    assert evaluate_in_extension(f, rho).is_zero
+    assert f.evaluate(rho).is_zero
     assert rho == cz.find_root(f, ctx)
 
 
@@ -356,7 +397,7 @@ def test_find_root_matches_split_in_full_extension(base_spec, m, n):
     rng = random.Random(f"roots:{base_spec}:{m}:{n}")
     for poly in (cz.random_irreducible(base, m, rng=rng), cz.random_irreducible(base, n, rng=rng)):
         expected = _root_by_splitting_in_ext(poly, ext, rng)
-        assert evaluate_in_extension(poly, expected).is_zero
+        assert poly.evaluate(expected).is_zero
         for seed in (0, 3):
             assert cz.find_root(poly, ext, seed=seed) == expected
 
@@ -400,7 +441,7 @@ def test_minimal_polynomial_round_trip(F2):
     ctx = cz.extension_field(F2, 6, seed=1)
     rho = cz.find_root(f, ctx)
     assert cz.minimal_polynomial(rho) == f
-    assert evaluate_in_extension(cz.minimal_polynomial(rho), rho).is_zero
+    assert cz.minimal_polynomial(rho).evaluate(rho).is_zero
 
 
 def test_minimal_polynomial_base_element(F3):
@@ -483,7 +524,7 @@ def test_find_root_subfield_minpoly_is_orbit_expansion(F2, monkeypatch):
         f = cz.random_irreducible(F2, m, seed=m)
         calls.clear()
         root = cz.find_root(f, ext)
-        assert evaluate_in_extension(f, root).is_zero
+        assert f.evaluate(root).is_zero
         gamma, h = calls[-1]
         assert len(h) - 1 == m
         assert h == orbit_expansion(gamma).coeffs
@@ -537,21 +578,21 @@ def test_conjugate_factor_matches_root_expansion(field, m):
 # -- embeddings and towers --------------------------------------------------------
 
 
-def test_embedding_round_trip(F3):
-    small = cz.extension_field(F3, 2, seed=0)
-    big = cz.extension_field(F3, 6, seed=1)
-    emb = cz.Embedding.find(small, big)
-    rng = random.Random(0)
-    for _ in range(20):
-        a = small.random_element(rng)
-        b = small.random_element(rng)
-        assert emb.project(emb(a)) == a
-        assert emb(a * b) == emb(a) * emb(b)
-        assert emb(a + b) == emb(a) + emb(b)
-    outside = cz.random_normal_element(big, seed=0)
-    if cz.degree_over_base(outside) == 6:
-        with pytest.raises(ValueError):
-            emb.project(outside)
+def test_embedding_round_trip():
+    # over GF(3) and GF(4): over GF(4), project eliminates depth-1 raw values
+    for spec in ("3", "2^2:1,1,1"):
+        base = cz.parse_field_spec(spec)
+        small = cz.extension_field(base, 2, seed=0)
+        big = cz.extension_field(base, 6, seed=1)
+        emb = cz.Embedding.find(small, big)
+        rng = random.Random(0)
+        for a in small.all_elements():
+            b = small.random_element(rng)
+            assert emb.project(emb(a)) == a
+            assert emb(a * b) == emb(a) * emb(b)
+            assert emb(a + b) == emb(a) + emb(b)
+        with pytest.raises(ValueError):  # the generator has degree 6
+            emb.project(big.generator())
 
 
 def test_extension_of_two_level_tower(F2):
@@ -561,7 +602,7 @@ def test_extension_of_two_level_tower(F2):
     h = cz.random_irreducible(tower, 2, seed=2)
     ext = tower.extension(h)
     assert ext.lower == tower and ext.depth == 3 and ext.order == tower.order**2
-    assert evaluate_in_extension(h, cz.find_root(h, ext)).is_zero
+    assert h.evaluate(cz.find_root(h, ext)).is_zero
     rng = random.Random(1)
     for _ in range(5):
         a, b = tower.random_element(rng), tower.random_element(rng)

@@ -1,7 +1,3 @@
-import random
-
-import pytest
-
 import compoz as cz
 from compoz import linalg
 
@@ -27,20 +23,3 @@ def test_rank_over_extension_field(F2):
     # second row is a times the first
     assert linalg.mat_rank(gf4, rows) == 1
 
-
-def test_linear_solver(F3):
-    rng = random.Random(1)
-    cols = [(1, 0, 2), (0, 1, 1)]
-    solver = linalg.LinearSolver(F3, cols)
-    for _ in range(20):
-        x = (rng.randrange(3), rng.randrange(3))
-        b = tuple(
-            (cols[0][i] * x[0] + cols[1][i] * x[1]) % 3 for i in range(3)
-        )
-        assert solver.solve(b) == x
-    assert solver.solve((0, 0, 1)) is None
-
-
-def test_linear_solver_rejects_dependent_columns(F3):
-    with pytest.raises(ValueError):
-        linalg.LinearSolver(F3, [(1, 2), (2, 4 % 3)])
