@@ -34,6 +34,7 @@ from . import linalg
 from .diamond import MONOMIAL, PhiPoly, _check_root_polys
 from .ff import (
     DEFAULT_SEED,
+    FieldContext,
     _powers,
     degree_over_base,
     distinct_prime_factors,
@@ -72,7 +73,7 @@ def petr_berlekamp_matrix(f):
 
     Column j holds the coordinates of (alpha^j)^q where alpha is a root of
     the monic irreducible f.  Rows are tuples of raw base-field values, as
-    every linalg function takes them.
+    linalg's matrix products take them.
     """
     ring = f.ctx.extension(f)
     cols = _powers(ring, ring._frob(ring._gen_raw(), 1), ring.degree)
@@ -288,7 +289,8 @@ def rank_criterion(phi):
         raise ValueError("rank criterion needs coprime m, n > 1")
     m1 = distinct_prime_factors(m)[0]
     n1 = distinct_prime_factors(n)[0]
-    return linalg.mat_rank(phi.ctx, phi.rows) > max(m // m1, n // n1)
+    V = FieldContext(phi.ctx.p, lower=phi.ctx, modulus=(0,) * n + (1,))  # rows in K[X]/(X^n)
+    return linalg.mat_rank(V, map(V._pack, phi.rows)) > max(m // m1, n // n1)
 
 
 def degree_criterion(phi):

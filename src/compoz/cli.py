@@ -87,10 +87,21 @@ def _check_size_cap(q, degree, what):
         )
 
 
+def _check_q_text(text):
+    """Refuse a decimal q (or p) past the size cap from its text, before int()
+    reads it (int() refuses past 4,300 digits), naming the bound, not q."""
+    digits = text.strip().removeprefix("+").replace("_", "").lstrip("0")
+    if digits.isdecimal() and (
+        len(digits) > len(str(MAX_FIELD_ORDER)) or int(digits) > MAX_FIELD_ORDER
+    ):
+        raise ValueError(f"q exceeds the field size cap 2^{MAX_FIELD_ORDER.bit_length() - 1}")
+
+
 def _parse_field(spec):
     """parse_field_spec, refusing GF(p^e) past the size cap before its modulus
     is tested; a malformed spec is left for parse_field_spec to reject."""
     p_text, caret, e_text = spec.partition(":")[0].partition("^")
+    _check_q_text(p_text)
     try:
         p, e = int(p_text), int(e_text) if caret else 1
     except ValueError:
@@ -136,7 +147,8 @@ def _cmd_compose(args):
     base, f, g, phi = _load_instance(args)
     pair = RootPair.build(f, g, seed=args.seed)
     product = DiamondSpec.from_phi(phi).bind(pair).composed()
-    irreducible = is_irreducible(product)
+    # every root lies in GF(q^lcm(m, n)): if gcd(m, n) > 1, no factor reaches degree mn
+    irreducible = math.gcd(pair.m, pair.n) == 1 and is_irreducible(product)
     doc = {
         "schema": SCHEMA,
         "kind": "composed-product",
@@ -291,12 +303,7 @@ def _cmd_staircase(args):
 
 
 def _cmd_twisted(args):
-    # a plain-integer q past the cap is refused from its length, before int()
-    digits = args.q.strip().removeprefix("+").replace("_", "").lstrip("0")
-    if digits.isdecimal() and (
-        len(digits) > len(str(MAX_FIELD_ORDER)) or int(digits) > MAX_FIELD_ORDER
-    ):
-        raise ValueError(f"q exceeds the field size cap 2^{MAX_FIELD_ORDER.bit_length() - 1}")
+    _check_q_text(args.q)
     try:
         q = int(args.q)
     except ValueError:

@@ -28,12 +28,12 @@ Raw value representation (internal):
     and run the raw polynomial helpers over the lower context (_pmul,
     _pmod, _pinvmod).
 
-FieldContext._pack and _unpack are the only code that converts between a
-raw value and its coordinates (text formats, coords(), the canonical index
-of _nth / _to_int, embeddings and linear algebra over the coordinates all
-go through them).  Coordinate 0 is the low bits, so the raw of a lower
-level is also the raw of the same element in every extension above it,
-and embedding a base value, or an int, changes nothing.  Since a raw int
+FieldContext._pack and _unpack convert between a raw value and its list of
+coordinates (text formats, coords(), the canonical index of _nth / _to_int
+and embeddings go through them); linear algebra (linalg.py) takes raws as
+packed rows and unpacks none.  Coordinate 0 is the low bits, so the raw of
+a lower level is also the raw of the same element in every extension above
+it, and embedding a base value, or an int, changes nothing.  Since a raw int
 of an extension is not the integer it looks like, internal code builds
 elements and polynomials from raw values with FieldElement._wrap /
 Polynomial._from_raw, never through the coercing constructors.
@@ -72,7 +72,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul as _mul_op
 
-from .linalg import rref
+from .linalg import _reduce, echelon
 
 DEFAULT_SEED = 0
 
@@ -1241,7 +1241,7 @@ class Embedding:
 
     Determined by the image of the small field's generator, which must be a
     root of the small modulus inside the big field.  project() inverts the
-    map by row reduction and raises ValueError on elements outside the image.
+    map by linalg.echelon and raises ValueError on elements outside the image.
     """
 
     __slots__ = ("small", "big", "root", "_pows")
@@ -1278,13 +1278,13 @@ class Embedding:
     def project(self, b):
         if not isinstance(b, FieldElement) or b.ctx != self.big:
             raise ContextMismatchError("element is not in the big field")
-        # b is in the image iff its column takes no pivot; it then holds b's coordinates
-        k, unpack = self.small.degree, self.big._unpack
-        cols = [unpack(w) for w in self._pows] + [unpack(b.raw)]
-        R, pivots = rref(self.small.lower, tuple(zip(*cols)))
-        if k in pivots:
+        # b is in the image iff reducing it against the root powers leaves 0;
+        # the multipliers taken out, as a raw of small, are then its coordinates
+        big, small = self.big, self.small
+        rest, coords = _reduce(big, echelon(big, self._pows, small), b.raw, small)
+        if rest:
             raise ValueError("element is not in the embedded subfield")
-        return FieldElement._wrap(self.small, self.small._pack([row[k] for row in R[:k]]))
+        return FieldElement._wrap(small, coords)
 
     def project_poly(self, f):
         if f.ctx != self.big:

@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over a field context.
+"""Exact dense linear algebra over a field context, with no floating point.
 
-Matrices are tuples of row tuples whose entries are raw values of the
-coefficient context K (the same raw layer ff.py uses).  Everything here is
-Gaussian elimination at desk scale; no floating point is involved anywhere.
+Products and powers work entry by entry on tuples of row tuples of raws of
+the coefficient context K (ff.py's raw layer).  Elimination takes each row
+as one raw of a context V over K, entry j in slot j (a field's raws are
+rows over its base; K[X]/(X^c) packs any others), so a row operation is one
+V._scalar_mul and one V._sub at every depth.
 """
 
 from __future__ import annotations
@@ -60,33 +62,35 @@ def mat_is_zero(K, A):
     return not any(c for row in A for c in row)
 
 
-def rref(K, A):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    if not A:
-        return (), ()
-    rows = [list(r) for r in A]
-    nrows, ncols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = K._inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [K._mul(inv, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [K._sub(v, K._mul(f, w)) for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+def _reduce(V, basis, x, W=None):
+    """(x - sum f_t row_t, sum f_t comb_t in W or 0), f_t the entry of x at
+    pivot t when it is reached; row t is 0 at the pivots before it, so no
+    step refills a cleared column."""
+    S, c = V._stride, 0
+    for j, row, comb in basis:
+        f = x >> (S * j) & ((1 << S) - 1)
+        if f:
+            x = V._sub(x, V._scalar_mul(f, row))
+            if W is not None:
+                c = W._add(c, W._scalar_mul(f, comb))
+    return x, c
 
 
-def mat_rank(K, A):
-    return len(rref(K, A)[1])
+def echelon(V, rows, W=None):
+    """Echelon basis of the span of rows: (pivot j, row with 1 at j and 0
+    before j, comb) for each row left nonzero by reducing it against the
+    basis so far.  comb is None, or the raw of W (over K, of degree >=
+    len(rows)) whose coordinate i is the coefficient of rows[i]."""
+    S, basis = V._stride, []
+    for i, row in enumerate(rows):
+        x, c = _reduce(V, basis, row, W)
+        if x:
+            j = ((x & -x).bit_length() - 1) // S
+            inv = V.lower._inv(x >> (S * j) & ((1 << S) - 1))
+            comb = None if W is None else W._scalar_mul(inv, W._sub(1 << (W._stride * i), c))
+            basis.append((j, V._scalar_mul(inv, x), comb))
+    return basis
 
+
+def mat_rank(V, rows):
+    return len(echelon(V, rows))

@@ -52,9 +52,7 @@ def is_normal(gamma, degree=None):
         raise ValueError("normality is relative to an extension field")
     r = ctx.degree if degree is None else degree
     conjs = _orbit(ctx, gamma.raw)
-    return len(conjs) == r and linalg.mat_rank(
-        ctx.lower, tuple(ctx._unpack(c) for c in conjs)
-    ) == r
+    return len(conjs) == r and linalg.mat_rank(ctx, conjs) == r
 
 
 def random_normal_element(ctx, *, rng=None, seed=DEFAULT_SEED):

@@ -228,6 +228,38 @@ def test_twisted_refuses_a_plain_q_past_the_cap(capsys):
     assert code == 0 and out == "normal on normal pairs: true\n" and err == ""
 
 
+def test_field_spec_with_a_q_past_the_cap_names_only_the_bound(capsys):
+    # past 4,300 digits int() refuses the text; below, the error would print q
+    big = str(10**1000 + 1)
+    for spec in (big, "7" * 5000, f"{big}^2:1,1,1"):
+        code, out, err = run(
+            capsys, "compose", "--q", spec, "--f", "1,1", "--g", "1,1,1", "--phi", "x"
+        )
+        assert (code, out, err) == (2, "", "error: q exceeds the field size cap 2^256\n")
+
+
+def test_compose_decides_irreducibility_by_degree_when_gcd_exceeds_1(capsys, monkeypatch):
+    # m = 2, n = 4: every root lies in GF(2^4), so the degree-8 product is
+    # reducible, and no Rabin test runs on it
+    rabin, degrees = ff._rabin, []
+
+    def spy(f, *args):
+        degrees.append(f.degree)
+        return rabin(f, *args)
+
+    monkeypatch.setattr(ff, "_rabin", spy)
+    phi = "2 2 4 monomial;0 0 0 0;0 1 0 0"
+    code, out, _ = run(
+        capsys, "compose", "--q", "2", "--f", "1,1,1", "--g", "1,1,0,0,1", "--phi", phi,
+        "--format", "structured",
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["degree"] == 8 and doc["irreducible"] is False
+    assert 8 not in degrees
+    monkeypatch.setattr(ff, "_rabin", rabin)
+    assert not ff.is_irreducible(ff.poly_from_text(ff.prime_field(2), doc["product"]))
+
+
 def test_broken_invariant_exits_3(capsys, monkeypatch):
     # routes that disagree are a fault of the library, not of the input
     run_routes = cli.run_routes

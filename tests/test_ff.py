@@ -579,8 +579,9 @@ def test_conjugate_factor_matches_root_expansion(field, m):
 
 
 def test_embedding_round_trip():
-    # over GF(3) and GF(4): over GF(4), project eliminates depth-1 raw values
-    for spec in ("3", "2^2:1,1,1"):
+    # over GF(3), GF(4) and GF(9): over GF(4) and GF(9), project eliminates
+    # depth-2 rows of depth-1 raw values
+    for spec in ("3", "2^2:1,1,1", "3^2:2,2,1"):
         base = cz.parse_field_spec(spec)
         small = cz.extension_field(base, 2, seed=0)
         big = cz.extension_field(base, 6, seed=1)

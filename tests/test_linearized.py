@@ -65,8 +65,10 @@ def test_random_normal_element_contract(F2):
 
 
 def test_is_normal_matches_gcd_route():
-    for p, m in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
-        ctx = cz.extension_field(cz.prime_field(p), m, seed=0)
+    # over GF(4) and GF(9) the conjugates are depth-2 raws, rows over the base
+    for spec, m in (("2", 2), ("2", 3), ("2", 4), ("3", 2), ("3", 3),
+                    ("2^2:1,1,1", 2), ("2^2:1,1,1", 3), ("3^2:2,2,1", 2)):
+        ctx = cz.extension_field(cz.parse_field_spec(spec), m, seed=0)
         for a in ctx.all_elements():
             assert cz.is_normal(a) == cz.normal_by_gcd(a)
 
