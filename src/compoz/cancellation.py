@@ -72,8 +72,7 @@ def petr_berlekamp_matrix(f):
     """Matrix of the q-power map in the basis 1, alpha, ..., alpha^(m-1).
 
     Column j holds the coordinates of (alpha^j)^q where alpha is a root of
-    the monic irreducible f.  Rows are tuples of raw base-field values, as
-    linalg's matrix products take them.
+    the monic irreducible f.  Rows are tuples of raw base-field values.
     """
     ring = f.ctx.extension(f)
     cols = _powers(ring, ring._frob(ring._gen_raw(), 1), ring.degree)
@@ -222,24 +221,21 @@ def sample_cc_phi_matrices(f, g, count, *, rng=None, seed=DEFAULT_SEED):
 def matrix_cc_test(f, g, phi):
     """Cancellation via Frobenius matrices in the power bases of f and g.
 
-    Holds iff (A^(m/p) - I) C is nonzero for every prime p | m and
-    (B^(n/p) - I) C^T is nonzero for every prime p | n.
+    Fails at the smallest prime p | m with A^(m/p) C == C, A the Frobenius
+    matrix of f (witness m/p on side alpha), else at the smallest p | n
+    with B^(n/p) C^T == C^T, B that of g (n/p on side beta); holds
+    otherwise.  Each matrix is a list of columns packed into the field kept
+    on f or g: C's columns on the alpha side, its rows on the beta side.
     """
     _require_phi_route(f, g, phi, "matrix")
-    m, n = f.degree, g.degree
-    K = f.ctx
     C = phi.rows
-    A = petr_berlekamp_matrix(f)
-    for p in distinct_prime_factors(m):
-        D = linalg.mat_sub(K, linalg.mat_pow(K, A, m // p), linalg.identity(K, m))
-        if linalg.mat_is_zero(K, linalg.mat_mul(K, D, C)):
-            return CcVerdict(False, ROUTE_MATRIX, CcWitness(m // p, "alpha", 0))
-    B = petr_berlekamp_matrix(g)
-    Ct = linalg.transpose(C)
-    for p in distinct_prime_factors(n):
-        D = linalg.mat_sub(K, linalg.mat_pow(K, B, n // p), linalg.identity(K, n))
-        if linalg.mat_is_zero(K, linalg.mat_mul(K, D, Ct)):
-            return CcVerdict(False, ROUTE_MATRIX, CcWitness(n // p, "beta", 0))
+    for h, cols, side in ((f, zip(*C), "alpha"), (g, C, "beta")):
+        V, d = h.ctx.extension(h), h.degree
+        A = [V._pack(a) for a in zip(*petr_berlekamp_matrix(h))]
+        C_cols = [V._pack(c) for c in cols]
+        for p in distinct_prime_factors(d):
+            if linalg.mat_mul(V, linalg.mat_pow(V, A, d // p), C_cols) == C_cols:
+                return CcVerdict(False, ROUTE_MATRIX, CcWitness(d // p, side, 0))
     return CcVerdict(True, ROUTE_MATRIX)
 
 

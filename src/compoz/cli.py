@@ -87,10 +87,15 @@ def _check_size_cap(q, degree, what):
         )
 
 
+def _digits(text):
+    """text as int() reads a decimal, less sign, underscores and leading zeros."""
+    return text.strip().removeprefix("+").replace("_", "").lstrip("0")
+
+
 def _check_q_text(text):
     """Refuse a decimal q (or p) past the size cap from its text, before int()
     reads it (int() refuses past 4,300 digits), naming the bound, not q."""
-    digits = text.strip().removeprefix("+").replace("_", "").lstrip("0")
+    digits = _digits(text)
     if digits.isdecimal() and (
         len(digits) > len(str(MAX_FIELD_ORDER)) or int(digits) > MAX_FIELD_ORDER
     ):
@@ -102,6 +107,12 @@ def _parse_field(spec):
     is tested; a malformed spec is left for parse_field_spec to reject."""
     p_text, caret, e_text = spec.partition(":")[0].partition("^")
     _check_q_text(p_text)
+    # p >= 2, so an e with more digits than the cap's bit count is past the
+    # cap; refused from its text, like q, so the error does not print it
+    cap_bits = MAX_FIELD_ORDER.bit_length() - 1
+    e_digits = _digits(e_text)
+    if e_digits.isdecimal() and len(e_digits) > len(str(cap_bits)):
+        raise ValueError(f"p^e exceeds the field size cap 2^{cap_bits}")
     try:
         p, e = int(p_text), int(e_text) if caret else 1
     except ValueError:

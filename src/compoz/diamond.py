@@ -40,6 +40,7 @@ from .ff import (
     minimal_polynomial,
     poly_to_text,
 )
+from .linalg import combine
 
 MONOMIAL = "monomial"
 LINEARIZED = "linearized"
@@ -118,7 +119,7 @@ class PhiPoly(NamedTuple):
             raise ContextMismatchError("arguments must lie in an extension of the base")
         # sum_i x_i (sum_j c_ij y_j), with x_i = x^i, y_j = y^j (monomial)
         # or x_i = x^(q^i), y_j = y^(q^j) (linearized)
-        mul, add, smul = ext._mul, ext._add, ext._scalar_mul
+        mul, add = ext._mul, ext._add
         mono = self.basis == MONOMIAL
 
         def terms(a, count):
@@ -130,10 +131,7 @@ class PhiPoly(NamedTuple):
         ys = terms(y.raw, self.n)
         acc = 0
         for xi, row in zip(terms(x.raw, self.m), self.rows):
-            inner = 0
-            for c, yj in zip(row, ys):
-                if c:
-                    inner = add(inner, smul(c, yj))
+            inner = combine(ext, ys, row)
             if inner:
                 acc = add(acc, inner if xi == 1 else mul(xi, inner))
         return FieldElement._wrap(ext, acc)

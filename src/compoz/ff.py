@@ -31,11 +31,11 @@ Raw value representation (internal):
 FieldContext._pack and _unpack convert between a raw value and its list of
 coordinates (text formats, coords(), the canonical index of _nth / _to_int
 and embeddings go through them); linear algebra (linalg.py) takes raws as
-packed rows and unpacks none.  Coordinate 0 is the low bits, so the raw of
-a lower level is also the raw of the same element in every extension above
-it, and embedding a base value, or an int, changes nothing.  Since a raw int
-of an extension is not the integer it looks like, internal code builds
-elements and polynomials from raw values with FieldElement._wrap /
+packed vectors.  Coordinate 0 is the low bits, so the raw of a lower level
+is also the raw of the same element in every extension above it, and
+embedding a base value, or an int, changes nothing.  Since a raw int of an
+extension is not the integer it looks like, internal code builds elements
+and polynomials from raw values with FieldElement._wrap /
 Polynomial._from_raw, never through the coercing constructors.
 
 Arithmetic in a quotient ring K[X]/(h) is always done in the context
@@ -72,7 +72,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul as _mul_op
 
-from .linalg import _reduce, echelon
+from .linalg import _reduce, combine, echelon
 
 DEFAULT_SEED = 0
 
@@ -1268,12 +1268,8 @@ class Embedding:
     def __call__(self, a):
         if not isinstance(a, FieldElement) or a.ctx != self.small:
             raise ContextMismatchError("element is not in the small field")
-        big = self.big
-        acc = 0
-        for c, w in zip(self.small._unpack(a.raw), self._pows):
-            if c:
-                acc = big._add(acc, big._scalar_mul(c, w))
-        return FieldElement._wrap(big, acc)
+        coords = self.small._unpack(a.raw)
+        return FieldElement._wrap(self.big, combine(self.big, self._pows, coords))
 
     def project(self, b):
         if not isinstance(b, FieldElement) or b.ctx != self.big:

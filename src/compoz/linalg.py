@@ -1,65 +1,45 @@
 """Exact dense linear algebra over a field context, with no floating point.
 
-Products and powers work entry by entry on tuples of row tuples of raws of
-the coefficient context K (ff.py's raw layer).  Elimination takes each row
-as one raw of a context V over K, entry j in slot j (a field's raws are
-rows over its base; K[X]/(X^c) packs any others), so a row operation is one
-V._scalar_mul and one V._sub at every depth.
+A vector over K is one raw of a context V over K (V.lower = K), entry j in
+slot j: a field's raws are vectors over its base, and K[X]/(X^c) packs any
+others.  A matrix is a list of such raws: its rows when eliminating, its
+columns (the images of the basis vectors) when multiplying.  So a row
+operation is one V._scalar_mul and one V._sub, and applying a matrix to a
+vector is one combine, at every depth.
 """
 
 from __future__ import annotations
 
 
-def identity(K, n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def combine(V, cols, coords):
+    """sum coords[i] * cols[i] in V, coords raws of V.lower: the image of
+    the vector coords under the matrix with columns cols."""
+    add, smul, acc = V._add, V._scalar_mul, 0
+    for c, col in zip(coords, cols):
+        if c:
+            acc = add(acc, smul(c, col))
+    return acc
 
 
-def transpose(A):
-    return tuple(zip(*A)) if A else ()
+def mat_mul(V, A, B):
+    """Columns of A B, for A and B lists of columns in V."""
+    return [combine(V, A, V._unpack(b)) for b in B]
 
 
-def mat_sub(K, A, B):
-    sub = K._sub
-    return tuple(
-        tuple(sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
-def mat_mul(K, A, B):
-    if not A or not B:
-        return ()
-    add, mul = K._add, K._mul
-    Bt = transpose(B)
-    out = []
-    for row in A:
-        out_row = []
-        for col in Bt:
-            acc = 0
-            for a, b in zip(row, col):
-                if a and b:
-                    acc = add(acc, mul(a, b))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def mat_pow(K, A, e):
+def mat_pow(V, A, e):
+    """Columns of A^e, for A a square list of columns in V."""
     if e < 0:
         raise ValueError("negative matrix powers are not supported")
-    n = len(A)
-    result = identity(K, n)
+    S = V._stride
+    result = [1 << (S * i) for i in range(len(A))]
     base = A
     while e:
         if e & 1:
-            result = mat_mul(K, result, base)
+            result = mat_mul(V, result, base)
         e >>= 1
         if e:
-            base = mat_mul(K, base, base)
+            base = mat_mul(V, base, base)
     return result
-
-
-def mat_is_zero(K, A):
-    return not any(c for row in A for c in row)
 
 
 def _reduce(V, basis, x, W=None):

@@ -28,6 +28,21 @@ B_ENTRIES = ((1, 2, 1), (0, 1, 1), (0, 0, 1))
 A2I_TIMES_C = ((0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 0))
 
 
+def identity_rows(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def columns(V, rows):
+    """The columns of a matrix given by row tuples, each packed into V:
+    the layout linalg multiplies."""
+    return [V._pack(c) for c in zip(*rows)]
+
+
+def rows_of(V, cols):
+    """Inverse of columns: the row tuples of a list of column raws of V."""
+    return tuple(zip(*(V._unpack(c) for c in cols)))
+
+
 def project_poly_to_base(f):
     """f with every coefficient moved down to the base field; ValueError if
     one is not in it."""

@@ -16,7 +16,9 @@ from conftest import (
     B_ENTRIES,
     FACTOR_NO_CC,
     PRODUCT_CC,
+    columns,
     project_poly_to_base,
+    rows_of,
 )
 
 
@@ -49,11 +51,10 @@ def test_criterion_2_frobenius_matrices(worked):
     A = cz.petr_berlekamp_matrix(worked.f)
     B = cz.petr_berlekamp_matrix(worked.g)
     ok = A == A_ENTRIES and B == B_ENTRIES
-    D = linalg.mat_sub(
-        worked.base, linalg.mat_pow(worked.base, A, 2),
-        linalg.identity(worked.base, 4),
-    )
-    ok = ok and linalg.mat_mul(worked.base, D, worked.phi_cc.rows) == A2I_TIMES_C
+    V = worked.f.ctx.extension(worked.f)
+    C = columns(V, worked.phi_cc.rows)
+    A2C = linalg.mat_mul(V, linalg.mat_pow(V, columns(V, A), 2), C)
+    ok = ok and rows_of(V, [V._sub(x, c) for x, c in zip(A2C, C)]) == A2I_TIMES_C
     ok = ok and cz.matrix_cc_test(worked.f, worked.g, worked.phi_cc).holds
     ok = ok and not cz.matrix_cc_test(worked.f, worked.g, worked.phi_no_cc).holds
     _verdict(2, ok, "4x4 and 3x3 Frobenius matrices and the residual matrix, bit-exact")

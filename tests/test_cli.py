@@ -385,6 +385,16 @@ def test_field_spec_past_the_cap_is_refused_before_its_modulus_is_tested(
     assert err == "error: GF(2^300) exceeds the field size cap 2^256 on p^e, the field spec\n"
 
 
+def test_field_spec_with_an_exponent_past_the_cap_names_only_the_bound(capsys):
+    # past 4,300 digits int() refuses e; any e of four or more digits is past
+    # the cap, since p >= 2, and is refused from its text
+    for e in ("7" * 5000, "+0_1000"):
+        code, out, err = run(
+            capsys, "compose", "--q", f"2^{e}:1,1,1", "--f", "1,1", "--g", "1,1,1", "--phi", "x"
+        )
+        assert (code, out, err) == (2, "", "error: p^e exceeds the field size cap 2^256\n")
+
+
 def test_element_text_via_extension_field(capsys):
     # base GF(4), modulus X^2 + X + y: a two-level tower through the CLI
     code, out, _ = run(
