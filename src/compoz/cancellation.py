@@ -74,9 +74,15 @@ def petr_berlekamp_matrix(f):
     Column j holds the coordinates of (alpha^j)^q where alpha is a root of
     the monic irreducible f.  Rows are tuples of raw base-field values.
     """
-    ring = f.ctx.extension(f)
-    cols = _powers(ring, ring._frob(ring._gen_raw(), 1), ring.degree)
+    ring, cols = _frobenius_columns(f)
     return tuple(zip(*(ring._unpack(c) for c in cols)))
+
+
+def _frobenius_columns(f):
+    """The field kept on f and the packed columns (alpha^j)^q, j < deg f, of
+    its q-power map in the power basis."""
+    ring = f.ctx.extension(f)
+    return ring, _powers(ring, ring._frob(ring._gen_raw(), 1), ring.degree)
 
 
 # -- direct and degree-based routes -----------------------------------------
@@ -230,8 +236,8 @@ def matrix_cc_test(f, g, phi):
     _require_phi_route(f, g, phi, "matrix")
     C = phi.rows
     for h, cols, side in ((f, zip(*C), "alpha"), (g, C, "beta")):
-        V, d = h.ctx.extension(h), h.degree
-        A = [V._pack(a) for a in zip(*petr_berlekamp_matrix(h))]
+        V, A = _frobenius_columns(h)
+        d = V.degree
         C_cols = [V._pack(c) for c in cols]
         for p in distinct_prime_factors(d):
             if linalg.mat_mul(V, linalg.mat_pow(V, A, d // p), C_cols) == C_cols:

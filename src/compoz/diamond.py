@@ -20,7 +20,9 @@ product of its factors agrees with composed().
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
+from functools import reduce
 from typing import NamedTuple
 
 from .ff import (
@@ -30,6 +32,7 @@ from .ff import (
     FieldElement,
     Polynomial,
     _check_minpoly,
+    _orbit,
     _orbit_factors,
     _pminpoly,
     _raw_from_text,
@@ -321,11 +324,10 @@ class BoundDiamond:
             m, n = self.pair.m, self.pair.n
             L = math.lcm(m, n)
             self._mins = tuple(_pminpoly(ctx, raw, L) for raw in self.vals[0][: math.gcd(m, n)])
-            product = Polynomial.one(base)
-            for mu, count in Counter(self._mins).items():
-                power = L * count // (len(mu) - 1)
-                product = product * Polynomial._wrap(base, mu) ** power
-            self._composed = product
+            self._composed = reduce(operator.mul, (
+                Polynomial._wrap(base, mu) ** (L * count // (len(mu) - 1))
+                for mu, count in Counter(self._mins).items()
+            ))
         return self._composed
 
 
@@ -413,15 +415,13 @@ def _factor_report(bd):
     composed = bd.composed()
     entries = []
     for j, (raw, h) in enumerate(zip(bd.vals[0][:g_], bd._mins)):
-        _check_minpoly(pair.ctx, raw, h)
+        _check_minpoly(pair.ctx, raw, h, len(_orbit(pair.ctx, raw)))
         r = len(h) - 1
         entries.append(
             FactorEntry(orbit=j, degree=r, multiplicity=L // r,
                         min_poly=Polynomial._wrap(pair.base, h))
         )
-    product = Polynomial.one(pair.base)
-    for e in entries:
-        product = product * e.min_poly**e.multiplicity
+    product = reduce(operator.mul, (e.min_poly**e.multiplicity for e in entries))
     if product != composed:
         raise RuntimeError("factor report does not reconstruct the composed product")
     cc = all(

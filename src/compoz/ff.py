@@ -28,6 +28,12 @@ Raw value representation (internal):
     and run the raw polynomial helpers over the lower context (_pmul,
     _pmod, _pinvmod).
 
+The raw polynomial helpers run one loop per algorithm at every level:
+division and Berlekamp-Massey step through rows with FieldContext._submul
+([x - c y]) and _dot, one comprehension mod p over GF(p) and a plain
+_sub / _mul loop above it; a GF(p) product is one big-int product of
+operands packed in byte slots (Kronecker substitution), each slot mod p.
+
 FieldContext._pack and _unpack convert between a raw value and its list of
 coordinates (text formats, coords(), the canonical index of _nth / _to_int
 and embeddings go through them); linear algebra (linalg.py) takes raws as
@@ -225,16 +231,17 @@ def _pscale(K, c, a):
 def _pmul(K, a, b):
     if not a or not b:
         return ()
+    n = len(a) + len(b) - 1
     if K.lower is None:
+        # Kronecker substitution: a column is at most min(len) (p-1)^2, so
+        # slots of that many bits, rounded up to bytes, never carry
         p = K.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return tuple(v % p for v in out)
-    out = [0] * (len(a) + len(b) - 1)
+        w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+        x, y = (int.from_bytes(b"".join([c.to_bytes(w, "little") for c in v]), "little")
+                for v in (a, b))
+        t = (x * y).to_bytes(w * n, "little")
+        return tuple([int.from_bytes(t[i : i + w], "little") % p for i in range(0, w * n, w)])
+    out = [0] * n
     add, mul = K._add, K._mul
     for i, ai in enumerate(a):
         if ai:
@@ -258,35 +265,16 @@ def _pdivmod(K, a, b):
     da, db = len(a) - 1, len(b) - 1
     if da < db:
         return (), tuple(a)
-    if K.lower is None:
-        p = K.p
-        lead = b[-1]
-        inv = 1 if lead == 1 else pow(lead, p - 2, p)
-        r = list(a)
-        q = [0] * (da - db + 1)
-        for k in range(da - db, -1, -1):
-            c = r[k + db] * inv % p
-            if c:
-                q[k] = c
-                for i in range(db):
-                    bi = b[i]
-                    if bi:
-                        r[k + i] = (r[k + i] - c * bi) % p
-            r[k + db] = 0
-        return _pstrip(K, q), _pstrip(K, r[:db])
-    lead = b[-1]
+    lead, low = b[-1], b[:db]
     inv = None if lead == 1 else K._inv(lead)  # None: b is monic
     r = list(a)
     q = [0] * (da - db + 1)
+    submul = K._submul
     for k in range(da - db, -1, -1):
         c = r[k + db] if inv is None else K._mul(r[k + db], inv)
         if c:
             q[k] = c
-            for i in range(db):
-                bi = b[i]
-                if bi:
-                    r[k + i] = K._sub(r[k + i], K._mul(c, bi))
-        r[k + db] = 0
+            r[k : k + db] = submul(r[k : k + db], c, low)
     return _pstrip(K, q), _pstrip(K, r[:db])
 
 
@@ -532,6 +520,28 @@ class FieldContext:
             return red((t + q * self._xk) & self._low)
         product = _pmul(lo, self._unpack(a), self._unpack(b))
         return self._pack(_pmod(lo, product, self.modulus))
+
+    def _submul(self, xs, c, ys):
+        """[x - c y for x, y in zip(xs, ys)], xs and ys of one length: the
+        row step of division and Berlekamp-Massey."""
+        if self.lower is None:
+            p = self.p
+            return [(x - c * y) % p for x, y in zip(xs, ys)]
+        sub, mul, out = self._sub, self._mul, list(xs)
+        for i, y in enumerate(ys):
+            if y:
+                out[i] = sub(out[i], mul(c, y))
+        return out
+
+    def _dot(self, xs, ys):
+        """sum x y over zip(xs, ys)."""
+        if self.lower is None:
+            return sum(map(_mul_op, xs, ys)) % self.p
+        add, mul, acc = self._add, self._mul, 0
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = add(acc, mul(x, y))
+        return acc
 
     def _scalar_mul(self, c, a):
         """Multiply by a scalar from the next-lower level."""
@@ -918,14 +928,13 @@ class Polynomial:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        result = Polynomial.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        if not e:
+            return Polynomial.one(self.ctx)
+        result = self  # square and multiply from the top bit down
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __divmod__(self, other):
@@ -1037,8 +1046,9 @@ def minimal_polynomial(a):
     ctx = a.ctx
     if ctx.lower is None:
         return Polynomial._wrap(ctx, (ctx._neg(a.raw), 1))
-    h = _pminpoly(ctx, a.raw, len(_orbit(ctx, a.raw)))
-    _check_minpoly(ctx, a.raw, h)
+    r = len(_orbit(ctx, a.raw))
+    h = _pminpoly(ctx, a.raw, r)
+    _check_minpoly(ctx, a.raw, h, r)
     return Polynomial._wrap(ctx.lower, h)
 
 
@@ -1062,51 +1072,29 @@ def _pminpoly(K, a, d):
     n = len(seq)
     rs = seq[::-1]
     C, B, b, L, shift = [1], [1], 1, 0, 1
-    if lo.lower is None:
-        p = lo.p
-        for i in range(n):
-            d = sum(map(_mul_op, C, rs[n - 1 - i :])) % p
-            if not d:
-                shift += 1
-                continue
-            coef = d * pow(b, p - 2, p) % p
-            T = C[:]
-            C.extend([0] * (len(B) + shift - len(C)))
-            C[shift : shift + len(B)] = [
-                (c - coef * bj) % p for c, bj in zip(C[shift:], B)
-            ]
-            if 2 * L <= i:
-                L, B, b, shift = i + 1 - L, T, d, 1
-            else:
-                shift += 1
-    else:
-        add, mul, sub = lo._add, lo._mul, lo._sub
-        for i in range(n):
-            d = 0
-            for c, s in zip(C, rs[n - 1 - i :]):
-                d = add(d, mul(c, s))
-            if not d:
-                shift += 1
-                continue
-            coef = mul(d, lo._inv(b))
-            T = C[:]
-            C.extend([0] * (len(B) + shift - len(C)))
-            C[shift : shift + len(B)] = [
-                sub(c, mul(coef, bj)) for c, bj in zip(C[shift:], B)
-            ]
-            if 2 * L <= i:
-                L, B, b, shift = i + 1 - L, T, d, 1
-            else:
-                shift += 1
+    for i in range(n):
+        d = lo._dot(C, rs[n - 1 - i :])
+        if not d:
+            shift += 1
+            continue
+        coef = lo._mul(d, lo._inv(b))
+        T, end = C[:], shift + len(B)
+        C.extend([0] * (end - len(C)))
+        C[shift:end] = lo._submul(C[shift:end], coef, B)
+        if 2 * L <= i:
+            L, B, b, shift = i + 1 - L, T, d, 1
+        else:
+            shift += 1
     C.extend([0] * (L + 1 - len(C)))
     return tuple(reversed(C[: L + 1]))
 
 
-def _check_minpoly(K, a, h):
-    """Raise RuntimeError unless h (raw, over K.lower) is minpoly(a).  A monic
-    h of degree |orbit(a)| (by Frobenius) with h(a) = 0 (by Horner) is; no
-    part of the check shares code with _pminpoly."""
-    if h[-1] != 1 or len(h) - 1 != len(_orbit(K, a)) or _peval(K, h, a):
+def _check_minpoly(K, a, h, r):
+    """Raise RuntimeError unless h (raw, over K.lower) is minpoly(a), given
+    r = |orbit(a)| from a Frobenius walk.  A monic h of degree r with
+    h(a) = 0 (by Horner) is; no part of the check shares code with
+    _pminpoly."""
+    if h[-1] != 1 or len(h) - 1 != r or _peval(K, h, a):
         raise RuntimeError("minimal polynomial fails its certificate")
 
 
@@ -1227,7 +1215,7 @@ def find_root(f, ext, *, seed=DEFAULT_SEED):
         h = _pminpoly(ext, gamma, m)
         if len(h) - 1 == m:
             break
-    _check_minpoly(ext, gamma, h)
+    _check_minpoly(ext, gamma, h, len(_orbit(ext, gamma)))
     small = FieldContext(ext.p, lower=base, modulus=h)
     r = _split_root(small, f.coeffs, rng)
     root = _peval(ext, small._unpack(r), gamma)

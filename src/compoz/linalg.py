@@ -30,15 +30,13 @@ def mat_pow(V, A, e):
     """Columns of A^e, for A a square list of columns in V."""
     if e < 0:
         raise ValueError("negative matrix powers are not supported")
-    S = V._stride
-    result = [1 << (S * i) for i in range(len(A))]
-    base = A
-    while e:
-        if e & 1:
-            result = mat_mul(V, result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(V, base, base)
+    if not e:
+        return [1 << (V._stride * i) for i in range(len(A))]
+    result = A  # square and multiply from the top bit down
+    for bit in bin(e)[3:]:
+        result = mat_mul(V, result, result)
+        if bit == "1":
+            result = mat_mul(V, result, A)
     return result
 
 

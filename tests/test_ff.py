@@ -497,7 +497,7 @@ def test_minpoly_certificate_rejects_wrong_polynomials():
     K = cz.extension_field(cz.prime_field(3), 6, seed=0)
     a = next(x for x in K.all_elements() if cz.degree_over_base(x) == 6)
     h = _pminpoly(K, a.raw, 6)
-    _check_minpoly(K, a.raw, h)
+    _check_minpoly(K, a.raw, h, 6)
     lo = K.lower
     for bad in (
         ff._pmul(lo, h, (1, 1)),  # h * (X + 1): vanishes at a, one degree too many
@@ -505,7 +505,7 @@ def test_minpoly_certificate_rejects_wrong_polynomials():
         ff._pscale(lo, 2, h),  # 2h vanishes at a but is not monic
     ):
         with pytest.raises(RuntimeError, match="certificate"):
-            _check_minpoly(K, a.raw, bad)
+            _check_minpoly(K, a.raw, bad, 6)
 
 
 def test_find_root_subfield_minpoly_is_orbit_expansion(F2, monkeypatch):
@@ -879,6 +879,35 @@ def test_irreducible_and_gcd_match_sympy(p):
             expected = gf_gcd([c.to_int() for c in f.coefficients()][::-1],
                               [c.to_int() for c in g.coefficients()][::-1], p, ZZ)
             assert [c.to_int() for c in f.gcd(g).coefficients()] == expected[::-1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**61 - 1, 2**127 - 1])
+def test_product_and_division_match_sympy(p):
+    # the packed GF(p) product reads each column from a byte slot sized by
+    # min(len) (p - 1)^2; the lengths cross the size where the slot grows
+    # by a byte, and the divisors are not monic
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_div, gf_mul
+
+    F = cz.prime_field(p)
+    rng = random.Random(f"sympy mul div:{p}")
+
+    def draw(length):
+        return [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)]
+
+    lengths = (1, 2, 3, 4, 5, 8, 9, 16, 17, 36, 64, 65, 256, 257, 300)
+    widths = set()
+    for la in lengths:
+        for lb in (la, rng.randrange(1, 301)):
+            a, b = draw(la), draw(lb)
+            widths.add(((min(la, lb) * (p - 1) ** 2).bit_length() + 7) // 8)
+            A, B = cz.Polynomial(F, a), cz.Polynomial(F, b)
+            assert list((A * B).coeffs) == gf_mul(a[::-1], b[::-1], p, ZZ)[::-1]
+            q, r = divmod(A, B)
+            want_q, want_r = gf_div(a[::-1], b[::-1], p, ZZ)
+            assert (list(q.coeffs), list(r.coeffs)) == (want_q[::-1], want_r[::-1])
+    assert len(widths) == 2
 
 
 # -- pow_mod against the power and remainder operators ------------------------------
