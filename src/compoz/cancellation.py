@@ -80,9 +80,14 @@ def petr_berlekamp_matrix(f):
 
 def _frobenius_columns(f):
     """The field kept on f and the packed columns (alpha^j)^q, j < deg f, of
-    its q-power map in the power basis."""
+    its q-power map in the power basis, built on the first call and kept on
+    the field."""
     ring = f.ctx.extension(f)
-    return ring, _powers(ring, ring._frob(ring._gen_raw(), 1), ring.degree)
+    cols = getattr(ring, "_frob_cols", None)
+    if cols is None:
+        xq = ring._frob(ring._gen_raw(), 1)
+        cols = ring._frob_cols = tuple(_powers(ring, xq, ring.degree))
+    return ring, cols
 
 
 # -- direct and degree-based routes -----------------------------------------

@@ -30,9 +30,10 @@ Raw value representation (internal):
 
 The raw polynomial helpers run one loop per algorithm at every level:
 division and Berlekamp-Massey step through rows with FieldContext._submul
-([x - c y]) and _dot, one comprehension mod p over GF(p) and a plain
-_sub / _mul loop above it; a GF(p) product is one big-int product of
-operands packed in byte slots (Kronecker substitution), each slot mod p.
+(x -= c y, in place at an offset of the row) and _dot, plain integer
+arithmetic mod p over GF(p) and _sub / _mul above it; a GF(p) product is
+one big-int product of operands packed in byte slots (Kronecker
+substitution), each slot mod p.
 
 FieldContext._pack and _unpack convert between a raw value and its list of
 coordinates (text formats, coords(), the canonical index of _nth / _to_int
@@ -51,9 +52,13 @@ builds is kept on f as the field K[X]/(f): extension(f) returns it and its
 modulus_poly() carries it, so no modulus is built or tested twice.
 
 Public code works with the FieldElement and Polynomial wrappers; the raw
-layer keeps the inner loops allocation-light.  Polynomial coefficients are
-stored ascending with trailing zeros stripped.  The zero polynomial has
-degree None, never -1.
+layer keeps the inner loops allocation-light.  A wrapper keeps what depends
+on it alone once it has been computed: a polynomial its Rabin test's field
+(Polynomial._field), an element its minimal polynomial and the length and
+rank of its orbit (FieldElement._minpoly, _normality), so a value that is
+queried again, such as a fixed normal pair across many phi, is never
+re-derived.  Polynomial coefficients are stored ascending with trailing
+zeros stripped.  The zero polynomial has degree None, never -1.
 
 Elements never coerce across contexts silently.  Moving a value between a
 field and one of its extensions goes through FieldContext.from_base /
@@ -237,6 +242,9 @@ def _pmul(K, a, b):
         # slots of that many bits, rounded up to bytes, never carry
         p = K.p
         w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+        if w == 1:  # one byte a slot: the bytes are the coefficients
+            x, y = int.from_bytes(bytes(a), "little"), int.from_bytes(bytes(b), "little")
+            return tuple([c % p for c in (x * y).to_bytes(n, "little")])
         x, y = (int.from_bytes(b"".join([c.to_bytes(w, "little") for c in v]), "little")
                 for v in (a, b))
         t = (x * y).to_bytes(w * n, "little")
@@ -274,7 +282,7 @@ def _pdivmod(K, a, b):
         c = r[k + db] if inv is None else K._mul(r[k + db], inv)
         if c:
             q[k] = c
-            r[k : k + db] = submul(r[k : k + db], c, low)
+            submul(r, k, c, low)
     return _pstrip(K, q), _pstrip(K, r[:db])
 
 
@@ -344,6 +352,9 @@ class FieldContext:
         "depth",
         "_hash",
         "_frob_tables",
+        # the packed columns (X^j)^Q, j < degree, of the Q-power map, kept
+        # by cancellation._frobenius_columns; unset until its first call
+        "_frob_cols",
         "_is_field",
         # packed layout of an extension (see the module docstring); the
         # constants from _low on are the depth-1 product kernel's
@@ -521,17 +532,18 @@ class FieldContext:
         product = _pmul(lo, self._unpack(a), self._unpack(b))
         return self._pack(_pmod(lo, product, self.modulus))
 
-    def _submul(self, xs, c, ys):
-        """[x - c y for x, y in zip(xs, ys)], xs and ys of one length: the
-        row step of division and Berlekamp-Massey."""
+    def _submul(self, xs, at, c, ys):
+        """xs[at + i] -= c ys[i] for every i, in place: the row step of
+        division and Berlekamp-Massey, with no copy of the row."""
         if self.lower is None:
             p = self.p
-            return [(x - c * y) % p for x, y in zip(xs, ys)]
-        sub, mul, out = self._sub, self._mul, list(xs)
-        for i, y in enumerate(ys):
+            for i, y in enumerate(ys, at):
+                xs[i] = (xs[i] - c * y) % p
+            return
+        sub, mul = self._sub, self._mul
+        for i, y in enumerate(ys, at):
             if y:
-                out[i] = sub(out[i], mul(c, y))
-        return out
+                xs[i] = sub(xs[i], mul(c, y))
 
     def _dot(self, xs, ys):
         """sum x y over zip(xs, ys)."""
@@ -718,9 +730,17 @@ class FieldContext:
 
 
 class FieldElement:
-    """A value in a FieldContext.  Immutable and hashable."""
+    """A value in a FieldContext.  Immutable and hashable.
 
-    __slots__ = ("ctx", "raw")
+    Facts about the element alone are kept on it once computed, the way
+    Polynomial._field keeps a polynomial's field; both slots stay unset
+    (read with getattr(..., None)) until then, so arithmetic never fills
+    them.  _minpoly is the minimal polynomial over the next-lower field,
+    stored only after its certificate passed; _normality is the pair
+    (orbit length, rank of the conjugates) that is_normal computed.
+    """
+
+    __slots__ = ("ctx", "raw", "_minpoly", "_normality")
 
     def __init__(self, ctx, value):
         self.ctx = ctx
@@ -1036,20 +1056,35 @@ def _orbit(ctx, raw):
 
 
 def degree_over_base(a):
-    """Smallest r with a^(q^r) = a; the degree of GF(q)(a) over GF(q)."""
-    return len(_orbit(a.ctx, a.raw))
+    """Smallest r with a^(q^r) = a; the degree of GF(q)(a) over GF(q).
+
+    Read off a's stored orbit length or minimal polynomial when either is
+    set, else one Frobenius walk."""
+    known = getattr(a, "_normality", None)
+    if known is not None:
+        return known[0]
+    h = getattr(a, "_minpoly", None)
+    return len(_orbit(a.ctx, a.raw)) if h is None else h.degree
 
 
 def minimal_polynomial(a):
     """Monic minimal polynomial of a over the next-lower field, by
-    Berlekamp-Massey plus a certificate (degree = orbit length, h(a) = 0)."""
-    ctx = a.ctx
-    if ctx.lower is None:
-        return Polynomial._wrap(ctx, (ctx._neg(a.raw), 1))
-    r = len(_orbit(ctx, a.raw))
-    h = _pminpoly(ctx, a.raw, r)
-    _check_minpoly(ctx, a.raw, h, r)
-    return Polynomial._wrap(ctx.lower, h)
+    Berlekamp-Massey plus a certificate (degree = orbit length, h(a) = 0).
+
+    The polynomial is kept on a once it passed its certificate, and later
+    calls return that same object."""
+    h = getattr(a, "_minpoly", None)
+    if h is None:
+        ctx = a.ctx
+        if ctx.lower is None:
+            h = Polynomial._wrap(ctx, (ctx._neg(a.raw), 1))
+        else:
+            r = degree_over_base(a)
+            raw = _pminpoly(ctx, a.raw, r)
+            _check_minpoly(ctx, a.raw, raw, r)
+            h = Polynomial._wrap(ctx.lower, raw)
+        a._minpoly = h
+    return h
 
 
 def _pminpoly(K, a, d):
@@ -1080,7 +1115,7 @@ def _pminpoly(K, a, d):
         coef = lo._mul(d, lo._inv(b))
         T, end = C[:], shift + len(B)
         C.extend([0] * (end - len(C)))
-        C[shift:end] = lo._submul(C[shift:end], coef, B)
+        lo._submul(C, shift, coef, B)
         if 2 * L <= i:
             L, B, b, shift = i + 1 - L, T, d, 1
         else:

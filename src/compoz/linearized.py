@@ -45,14 +45,19 @@ def is_normal(gamma, degree=None):
 
     degree defaults to the context degree.  Normal means gamma has exactly
     `degree` distinct conjugates and they are independent over the base, so
-    an element of any other degree is never normal.
+    an element of any other degree is never normal.  The orbit length and
+    the rank of the conjugates are kept on gamma (FieldElement._normality),
+    so a later call, for any degree, walks and eliminates nothing.
     """
     ctx = gamma.ctx
     if ctx.lower is None:
         raise ValueError("normality is relative to an extension field")
+    known = getattr(gamma, "_normality", None)
+    if known is None:
+        conjs = _orbit(ctx, gamma.raw)
+        known = gamma._normality = (len(conjs), linalg.mat_rank(ctx, conjs))
     r = ctx.degree if degree is None else degree
-    conjs = _orbit(ctx, gamma.raw)
-    return len(conjs) == r and linalg.mat_rank(ctx, conjs) == r
+    return known == (r, r)
 
 
 def random_normal_element(ctx, *, rng=None, seed=DEFAULT_SEED):

@@ -97,6 +97,23 @@ def conjugate_factors_by_roots(f, k, small):
     ]
 
 
+# Fields small enough to walk every element of: GF(2^6), GF(3^4), GF(5^3)
+# and the depth-2 GF(4^3), as (base spec, degrees) for memo_field.
+MEMO_FIELDS = [
+    pytest.param("2", (6,), id="2^6"),
+    pytest.param("3", (4,), id="3^4"),
+    pytest.param("5", (3,), id="5^3"),
+    pytest.param("2^2:1,1,1", (3,), id="4^3"),
+]
+
+
+def memo_field(base_spec, degrees):
+    K = cz.parse_field_spec(base_spec)
+    for d in degrees:
+        K = cz.extension_field(K, d, seed=0)
+    return K
+
+
 @pytest.fixture(scope="session")
 def F2():
     return cz.prime_field(2)

@@ -4,7 +4,7 @@ import pytest
 
 import compoz as cz
 from compoz import linalg
-from compoz.cancellation import ROUTES, run_routes
+from compoz.cancellation import ROUTES, _frobenius_columns, run_routes
 from conftest import (
     A2I_TIMES_C,
     A_ENTRIES,
@@ -28,6 +28,16 @@ def test_petr_berlekamp_frozen(worked):
     for h, M, d in ((worked.f, A, 4), (worked.g, B, 3)):
         V = h.ctx.extension(h)
         assert linalg.mat_pow(V, columns(V, M), d) == columns(V, identity_rows(d))
+
+
+def test_frobenius_columns_built_once_per_field(F3):
+    # the matrix route asks for them on every phi; the second call returns
+    # the columns kept on the field, and the rows read back unchanged
+    f = cz.random_irreducible(F3, 5, seed=2)
+    V, cols = _frobenius_columns(f)
+    assert _frobenius_columns(f) == (V, cols) and _frobenius_columns(f)[1] is cols
+    assert cols == tuple(columns(V, cz.petr_berlekamp_matrix(f)))
+    assert linalg.mat_pow(V, cols, 5) == columns(V, identity_rows(5))
 
 
 def test_petr_berlekamp_degree_one(F3):

@@ -9,7 +9,7 @@ from compoz import ff
 from compoz.ff import ContextMismatchError, _check_minpoly, _pminpoly
 from compoz.oracle import _grid_from_scratch
 from compoz.orbits import divisors
-from conftest import conjugate_factors_by_roots, orbit_expansion
+from conftest import MEMO_FIELDS, conjugate_factors_by_roots, memo_field, orbit_expansion
 
 
 def _contexts():
@@ -506,6 +506,50 @@ def test_minpoly_certificate_rejects_wrong_polynomials():
     ):
         with pytest.raises(RuntimeError, match="certificate"):
             _check_minpoly(K, a.raw, bad, 6)
+
+
+# -- facts kept on an element -------------------------------------------------
+
+
+@pytest.mark.parametrize("base_spec, degrees", MEMO_FIELDS)
+def test_minimal_polynomial_is_kept_on_the_element(base_spec, degrees, monkeypatch):
+    # one Berlekamp-Massey run per element, however often it is asked; the
+    # kept polynomial is the one a fresh element with the same raw gets
+    K = memo_field(base_spec, degrees)
+    calls = []
+
+    def spy(K, a, d):
+        calls.append(a)
+        return _pminpoly(K, a, d)
+
+    monkeypatch.setattr(ff, "_pminpoly", spy)
+    elements = list(K.all_elements())
+    for a in elements:
+        h = cz.minimal_polynomial(a)
+        assert cz.minimal_polynomial(a) is h
+        assert cz.degree_over_base(a) == h.degree == len(ff._orbit(K, a.raw))
+    assert calls == [a.raw for a in elements]
+    for a in elements:
+        fresh = ff.FieldElement._wrap(K, a.raw)
+        assert cz.minimal_polynomial(fresh) == cz.minimal_polynomial(a)
+    assert len(calls) == 2 * len(elements)
+
+
+def test_minimal_polynomial_kept_only_after_its_certificate(monkeypatch):
+    K = cz.extension_field(cz.prime_field(3), 4, seed=0)
+    a = K.generator()
+
+    def wrong(K, a, d):
+        h = _pminpoly(K, a, d)
+        return (K.lower._add(h[0], 1),) + h[1:]  # right degree, h(a) != 0
+
+    monkeypatch.setattr(ff, "_pminpoly", wrong)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="certificate"):
+            cz.minimal_polynomial(a)
+        assert getattr(a, "_minpoly", None) is None
+    monkeypatch.undo()
+    assert cz.minimal_polynomial(a) == K.modulus_poly()
 
 
 def test_find_root_subfield_minpoly_is_orbit_expansion(F2, monkeypatch):

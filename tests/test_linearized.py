@@ -4,6 +4,8 @@ import random
 import pytest
 
 import compoz as cz
+from compoz import ff, linalg
+from conftest import MEMO_FIELDS, memo_field
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,87 @@ def test_is_normal_matches_gcd_route():
         ctx = cz.extension_field(cz.parse_field_spec(spec), m, seed=0)
         for a in ctx.all_elements():
             assert cz.is_normal(a) == cz.normal_by_gcd(a)
+
+
+# -- facts kept on an element ----------------------------------------------------
+
+
+@pytest.mark.parametrize("base_spec, degrees", MEMO_FIELDS)
+def test_kept_normality_matches_fresh_elements_and_gcd_route(base_spec, degrees):
+    K = memo_field(base_spec, degrees)
+    # degree_over_base reads the kept orbit length; the fresh element walks
+    for a in K.all_elements():
+        normal = cz.is_normal(a)
+        assert a._normality is not None
+        fresh = ff.FieldElement._wrap(K, a.raw)
+        assert cz.is_normal(a) == normal == cz.is_normal(fresh) == cz.normal_by_gcd(a)
+        assert cz.degree_over_base(a) == len(ff._orbit(K, a.raw))
+
+
+@pytest.mark.parametrize("base_spec, degrees", MEMO_FIELDS)
+def test_is_normal_false_off_the_orbit_length(base_spec, degrees):
+    # is_normal(a, r) for every r, on a fresh element each time and then on
+    # one element whose orbit length and rank are kept
+    K = memo_field(base_spec, degrees)
+    for a in K.all_elements():
+        r0 = len(ff._orbit(K, a.raw))
+        degrees_asked = range(K.degree + 2)
+        before = [cz.is_normal(ff.FieldElement._wrap(K, a.raw), r) for r in degrees_asked]
+        after = [cz.is_normal(a, r) for r in degrees_asked]
+        assert before == after
+        assert not any(v for r, v in zip(degrees_asked, after) if r != r0)
+
+
+def test_normal_pair_facts_are_derived_once(pair23_f3, monkeypatch):
+    # one Berlekamp-Massey run and one elimination per element of a fixed
+    # pair, across every call that reads its minimal polynomial or normality
+    F3, cm, cn, common = pair23_f3
+    a, b = cz.embed_pair(
+        cz.random_normal_element(cm, seed=1),
+        cz.random_normal_element(cn, seed=2),
+        seed=3,
+    )
+    minpolys, ranks = [], []
+
+    def pminpoly_spy(K, x, d):
+        minpolys.append(x)
+        return pminpoly(K, x, d)
+
+    def rank_spy(V, rows):
+        rows = list(rows)
+        ranks.append(rows[0])
+        return mat_rank(V, rows)
+
+    pminpoly, mat_rank = ff._pminpoly, linalg.mat_rank
+    monkeypatch.setattr(ff, "_pminpoly", pminpoly_spy)
+    monkeypatch.setattr(linalg, "mat_rank", rank_spy)
+    rng = random.Random(4)
+    for _ in range(3):
+        assert cz.minimal_polynomial(a).degree == 2
+        assert cz.minimal_polynomial(b).degree == 3
+        assert cz.is_normal(a, 2) and cz.is_normal(b, 3)
+        pair = cz.RootPair.from_elements(a, b)
+        assert (pair.m, pair.n) == (2, 3)
+        phi = cz.PhiPoly.random(F3, 2, 3, rng, basis="linearized")
+        cz.staircase_normal_test(phi, a, b)
+    assert sorted(minpolys) == sorted(ranks) == sorted([a.raw, b.raw])
+
+
+def test_non_normal_argument_refused_on_every_call(pair23_f3):
+    # a trace-zero element of GF(9) has two conjugates but rank 1; 1 has one
+    F3, cm, cn, common = pair23_f3
+    ea = cz.Embedding.find(cm, common)
+    b = cz.Embedding.find(cn, common)(cz.random_normal_element(cn, seed=2))
+    trace_zero = next(x for x in cm.all_elements()
+                      if cz.degree_over_base(x) == 2 and not cz.is_normal(x))
+    phi = cz.PhiPoly.build(F3, [(1, 0, 0), (0, 0, 0)], basis="linearized")
+    for alpha in (ea(trace_zero), common.one):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not normal"):
+                cz.staircase_normal_test(phi, alpha, b)
+            assert alpha._normality is not None
+            with pytest.raises(ValueError):
+                cz.shifted_sum_is_normal(alpha, b)
 
 
 # -- bilinear cancellation test ---------------------------------------------------
