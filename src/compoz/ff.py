@@ -19,11 +19,15 @@ Raw value representation (internal):
     before a reduction, at most a product column k(p-1)^2 plus a small
     term, carries into the next slot.  Addition, subtraction and negation
     are one integer operation and a slot-wise reduction mod p in a constant
-    number of big-int operations, at every depth.
+    number of big-int operations, at every depth (_red).  When p = 2,
+    _ones holds a 1 in every slot: a slot reduces with one AND, addition
+    and subtraction are one XOR and negation changes nothing.
   * depth 1 multiplies by one big-int product (Kronecker substitution;
     Harvey, J. Symb. Comput. 44, 2009), reduced slot-wise and then mod f by
-    Barrett, and inverts by extended Euclid on packed polynomials; every p
-    runs the same code, p only changes the constants.  Above depth 1,
+    Barrett, and inverts by extended Euclid on packed polynomials.  The
+    product's three slot-wise reductions are inlined: _red's multiply-shift
+    for odd p, an AND with _ones for p = 2.  For p = 2 every leading
+    coefficient in Euclid is 1, so a step is a shifted XOR.  Above depth 1,
     products, inverses and Frobenius unpack their operands into lower raws
     and run the raw polynomial helpers over the lower context (_pmul,
     _pmod, _pinvmod).
@@ -370,6 +374,9 @@ class FieldContext:
         "_mu",
         "_xk",
         "_packed_mod",
+        # a 1 in every slot when p = 2 (2k slots at depth 1, to hold a
+        # product), else None: the characteristic-2 paths test it
+        "_ones",
     )
 
     def __init__(self, p, lower=None, modulus=None):
@@ -384,6 +391,7 @@ class FieldContext:
             self.order = p
             self.subfield_order = p
             self.depth = 0
+            self._ones = None
             return
         d = len(modulus) - 1
         self.degree = d
@@ -401,6 +409,7 @@ class FieldContext:
         ones = ((1 << (d * self._stride)) - 1) // ((1 << w) - 1)  # 1 per slot
         self._red_mask = ones * ((1 << (w - self._red_shift)) - 1)
         self._p_slots = p * ones
+        self._ones = ones if p == 2 else None
 
     def _init_kernel(self):
         p, k = self.p, self.degree
@@ -419,6 +428,7 @@ class FieldContext:
         w = (vmax * m).bit_length()
         ones = ((1 << (2 * k * w)) - 1) // ((1 << w) - 1)  # 1 per slot, 2k slots
         self._w = self._stride = w
+        self._ones = ones if p == 2 else None
         self._red_mul = m
         self._red_shift = s
         self._red_mask = ones * ((1 << (w - s)) - 1)
@@ -500,22 +510,30 @@ class FieldContext:
         raise TypeError(f"cannot interpret {v!r} as an element of {self.describe()}")
 
     def _red(self, v):
-        """Reduce every slot of a packed value mod p."""
+        """Reduce every slot of a packed value mod p.  The characteristic-2
+        arithmetic never calls it: there a slot reduces with an AND with
+        _ones, and a sum of reduced values is a XOR."""
         return v - self.p * ((v * self._red_mul >> self._red_shift) & self._red_mask)
 
     def _add(self, a, b):
         if self.lower is None:
             return (a + b) % self.p
+        if self._ones is not None:
+            return a ^ b
         return self._red(a + b)
 
     def _neg(self, a):
         if self.lower is None:
             return -a % self.p
+        if self._ones is not None:
+            return a
         return self._red(self._p_slots - a)
 
     def _sub(self, a, b):
         if self.lower is None:
             return (a - b) % self.p
+        if self._ones is not None:
+            return a ^ b
         return self._red(a + self._p_slots - b)
 
     def _mul(self, a, b):
@@ -524,11 +542,21 @@ class FieldContext:
             return a * b % self.p
         if self.depth == 1:
             # Barrett: the quotient of t by the modulus is the top half of
-            # (t >> X^k) * mu, exact for polynomials of degree <= 2k - 2
-            red = self._red
-            t = red(a * b)
-            q = red((t >> self._hi_shift) * self._mu) >> self._q_shift
-            return red((t + q * self._xk) & self._low)
+            # (t >> X^k) * mu, exact for polynomials of degree <= 2k - 2;
+            # each slot-wise reduction is inlined: an AND with _ones when
+            # p = 2, else _red's multiply-shift
+            ones = self._ones
+            if ones is not None:
+                t = a * b & ones
+                q = ((t >> self._hi_shift) * self._mu & ones) >> self._q_shift
+                return (t + q * self._xk) & self._low & ones
+            p, m, s, mask = self.p, self._red_mul, self._red_shift, self._red_mask
+            t = a * b
+            t -= p * ((t * m >> s) & mask)
+            q = (t >> self._hi_shift) * self._mu
+            q = (q - p * ((q * m >> s) & mask)) >> self._q_shift
+            t = (t + q * self._xk) & self._low
+            return t - p * ((t * m >> s) & mask)
         product = _pmul(lo, self._unpack(a), self._unpack(b))
         return self._pack(_pmod(lo, product, self.modulus))
 
@@ -561,6 +589,8 @@ class FieldContext:
         if lo is None:
             return a * c % self.p
         if self.depth == 1:
+            if self._ones is not None:
+                return a if c else 0
             return self._red(c * a)
         return self._pack([lo._mul(c, x) for x in self._unpack(a)])
 
@@ -576,6 +606,19 @@ class FieldContext:
         red, w = self._red, self._w
         r0, r1, s0, s1 = self._packed_mod, a, 0, 1
         d0, d1 = self.degree, (a.bit_length() - 1) // w
+        if self._ones is not None:
+            # characteristic 2: every leading coefficient is 1, so a step
+            # is a shifted XOR and the last remainder, if a unit, is 1
+            while r1:
+                while d0 >= d1:
+                    shift = w * (d0 - d1)
+                    r0 ^= r1 << shift
+                    s0 ^= s1 << shift
+                    d0 = (r0.bit_length() - 1) // w
+                r0, r1, s0, s1, d0, d1 = r1, r0, s1, s0, d1, d0
+            if d0:
+                raise ZeroDivisionError("element is not invertible")
+            return s0
         while r1:
             lead_inv = pow(r1 >> (w * d1), -1, p)
             while d0 >= d1:

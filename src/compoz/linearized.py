@@ -251,6 +251,9 @@ def shifted_sum_is_normal(alpha, beta, d=0):
     which the property suite asserts over its whole grid.
     """
     ctx = alpha.ctx
+    for x in (alpha, beta):
+        if x.ctx.lower is not None:  # a prime-field value has degree 1
+            is_normal(x)  # keeps the orbit length that degree_over_base reads
     m = degree_over_base(alpha)
     n = degree_over_base(beta)
     if m < 2 or n < 2 or math.gcd(m, n) != 1:

@@ -837,6 +837,7 @@ def _ref_field(ctx):
 
 KERNEL_FIELDS = [
     ("2", 1), ("2", 2), ("2", 12), ("2", 63),
+    ("2", 4), ("2", 27), ("2", 28),  # slot widths 4, 5 and 6 bits
     ("3", 2), ("3", 12), ("3", 20),
     ("5", 6), ("7", 3),
     ("2^2:1,1,1", 3), ("3^2:2,2,1", 2),
@@ -847,6 +848,14 @@ KERNEL_FIELDS = [
 
 def _degrees(degree):
     return degree if isinstance(degree, tuple) else (degree,)
+
+
+def _assert_canonical(ctx, raw):
+    """Every slot of raw holds a value below p, and no bit lies at or above
+    slot `degree`."""
+    w, top = ctx._w, ctx._stride * ctx.degree
+    assert raw >> top == 0
+    assert all(raw >> s & ((1 << w) - 1) < ctx.p for s in range(0, top, w))
 
 
 @pytest.mark.parametrize(
@@ -884,12 +893,32 @@ def test_kernel_matches_schoolbook(spec, degree):
         assert _nested_coords(a**e) == ref.pow(u, e)
         for j in (1, 2):
             assert _nested_coords(a.frobenius(j)) == ref.pow(u, q**j)
+        # a scalar from the next-lower level: coordinate 0 of b
+        c = b.coords()[0]
+        scaled = ctx._scalar_mul(c.raw, a.raw)
+        assert _nested_coords(ff.FieldElement._wrap(ctx, scaled)) == ref.mul(
+            _nested_coords(ctx.from_base(c)), u
+        )
+        results = [a + b, a - b, -a, a * b, a.frobenius(1), a.frobenius(2)]
         if u == ref.zero():
             with pytest.raises(ZeroDivisionError):
                 a**-1
         else:
             assert ref.mul(_nested_coords(a**-1), u) == one
             assert ref.mul(_nested_coords(a**-3), ref.pow(u, 3)) == one
+            results.append(a**-1)
+        for x in results:
+            _assert_canonical(ctx, x.raw)
+        _assert_canonical(ctx, scaled)
+
+
+def test_inverse_in_a_reducible_ring():
+    # GF(2)[X]/(X^2): X is a zero divisor, X + 1 is its own inverse
+    R = ff.FieldContext(2, lower=cz.prime_field(2), modulus=(0, 0, 1))
+    x = R._pack((0, 1))
+    with pytest.raises(ZeroDivisionError):
+        R._inv(x)
+    assert R._inv(x | 1) == x | 1
 
 
 # -- prime-field polynomials against sympy --------------------------------------------

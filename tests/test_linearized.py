@@ -4,7 +4,7 @@ import random
 import pytest
 
 import compoz as cz
-from compoz import ff, linalg
+from compoz import ff, linalg, linearized
 from conftest import MEMO_FIELDS, memo_field
 
 
@@ -420,6 +420,29 @@ def test_shifted_sum_validation(pair23_f2):
         cz.shifted_sum_is_normal(a, a, 0)
     with pytest.raises(ValueError):
         cz.shifted_sum_is_normal(common.one, b, 0)
+    with pytest.raises(ValueError, match="need coprime degrees above 1"):
+        cz.shifted_sum_is_normal(F2.one, b, 0)
+
+
+def test_shifted_sum_walks_each_orbit_once(pair23_f2, monkeypatch):
+    # alpha, beta and the sum: one Frobenius walk each on a fresh pair
+    F2, cm, cn, common = pair23_f2
+    a, b = cz.embed_pair(
+        cz.random_normal_element(cm, seed=1),
+        cz.random_normal_element(cn, seed=2),
+        seed=3,
+    )
+    walks = []
+    orbit = ff._orbit
+
+    def counting_orbit(ctx, raw):
+        walks.append(raw)
+        return orbit(ctx, raw)
+
+    monkeypatch.setattr(ff, "_orbit", counting_orbit)
+    monkeypatch.setattr(linearized, "_orbit", counting_orbit)
+    cz.shifted_sum_is_normal(a, b, 1)
+    assert len(walks) == 3
 
 
 # -- embed_pair ----------------------------------------------------------------------
